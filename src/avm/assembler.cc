@@ -377,6 +377,7 @@ class Assembler {
 
     out.ok = true;
     out.exe = std::move(exe);
+    out.labels = std::move(labels_);
     return out;
   }
 

@@ -25,6 +25,8 @@
 #ifndef AURAGEN_SRC_AVM_ASSEMBLER_H_
 #define AURAGEN_SRC_AVM_ASSEMBLER_H_
 
+#include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 
@@ -36,6 +38,10 @@ struct AsmOutput {
   bool ok = false;
   std::string error;   // "line N: message" when !ok
   Executable exe;
+  // Resolved label addresses (image offsets: text labels from 0, data
+  // labels from the 8-aligned data base). Lets a builder patch bytes into
+  // space it reserved with `.space` instead of spelling them out as text.
+  std::map<std::string, uint32_t> labels;
 };
 
 AsmOutput Assemble(std::string_view source);

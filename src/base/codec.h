@@ -144,9 +144,10 @@ class ByteWriter {
 };
 
 // Reads fields written by ByteWriter. Out-of-bounds reads are checked: a
-// malformed message indicates an implementation bug (the simulated bus never
-// corrupts payloads unless fault injection asks it to, and fault-injected
-// corruption is detected by checksum before decoding).
+// malformed message indicates an implementation bug. Nothing in the
+// simulator corrupts payloads (every injected fault is fail-stop: crashes,
+// process kills, bus-line and switch failures) and no checksum is carried,
+// so a short read aborts rather than being reported as data damage.
 class ByteReader {
  public:
   explicit ByteReader(ByteView buf) : data_(buf.data()), size_(buf.size()) {}

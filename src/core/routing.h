@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "src/base/types.h"
@@ -76,7 +77,19 @@ class RoutingTable {
       }
       return a.backup_entry < b.backup_entry;
     }
+    friend bool operator==(const Key& a, const Key& b) {
+      return a.channel == b.channel && a.owner == b.owner &&
+             a.backup_entry == b.backup_entry;
+    }
   };
+
+  // Move-only: the indexes point into entries_' nodes, which a move carries
+  // along and a copy would not.
+  RoutingTable() = default;
+  RoutingTable(const RoutingTable&) = delete;
+  RoutingTable& operator=(const RoutingTable&) = delete;
+  RoutingTable(RoutingTable&&) = default;
+  RoutingTable& operator=(RoutingTable&&) = default;
 
   // Creates an entry; replaces any stale entry under the same key.
   RoutingEntry& Create(ChannelId channel, Gpid owner, bool backup_entry);
@@ -86,7 +99,8 @@ class RoutingTable {
 
   void Remove(ChannelId channel, Gpid owner, bool backup_entry);
 
-  // All entries owned by `owner` (primary or backup per flag).
+  // All entries owned by `owner` (primary or backup per flag), in channel
+  // order — the order ForEach would visit them in.
   std::vector<RoutingEntry*> EntriesOf(Gpid owner, bool backup_entry);
 
   // Drops every entry owned by `owner` with the given role.
@@ -103,7 +117,25 @@ class RoutingTable {
   size_t size() const { return entries_.size(); }
 
  private:
+  struct KeyHash {
+    size_t operator()(const Key& k) const noexcept {
+      uint64_t h = k.channel.value * 0x9e3779b97f4a7c15ull;
+      h ^= ((k.owner.value << 1) | (k.backup_entry ? 1u : 0u)) + 0x7f4a7c15ull + (h << 6) +
+           (h >> 2);
+      return static_cast<size_t>(h);
+    }
+  };
+  // One owner's entries of one role, by channel.
+  using OwnerEntries = std::map<ChannelId, RoutingEntry*>;
+
+  // The entries themselves, ordered so that ForEach (crash handling) visits
+  // them in a fixed order. Map nodes never move, so the two indexes below
+  // hold plain pointers into it.
   std::map<Key, RoutingEntry> entries_;
+  // Find: one hashed probe instead of an ordered-tree descent.
+  std::unordered_map<Key, RoutingEntry*, KeyHash> index_;
+  // EntriesOf / RemoveAllOf: by role (0 primary, 1 backup), then owner.
+  std::unordered_map<Gpid, OwnerEntries> by_owner_[2];
 };
 
 }  // namespace auragen

@@ -83,6 +83,11 @@ class Engine {
   // none. Used by ShardedEngine to pick the next window.
   SimTime NextEventTime() const;
 
+  // Time of the heap's top entry, live or cancelled, or kSimForever when the
+  // heap is empty. Step(until) pops nothing while this is past `until`, so
+  // ShardedEngine skips a shard whose top lies beyond the window.
+  SimTime HeapTopTime() const { return queue_.empty() ? kSimForever : queue_.top().when; }
+
   // Advances the clock to `t` without dispatching anything. Only legal when
   // no pending event would be skipped. ShardedEngine uses this to align
   // every shard clock at control points between windows, so that schedules

@@ -144,6 +144,9 @@ void ShardedEngine::Trace(TraceEventKind kind, ClusterId cluster, uint64_t gpid,
 void ShardedEngine::RunShardWindow(ShardId shard, SimTime window_end) {
   Shard& sh = *shards_[shard];
   Engine& core = sh.core;
+  if (core.HeapTopTime() >= window_end) {
+    return;  // idle this window: Step would pop nothing
+  }
   if (dispatch_limit_ != 0) {
     core.set_dispatch_limit(core.dispatched() + window_budget_);
   } else {
@@ -213,7 +216,11 @@ void ShardedEngine::BarrierDrain() {
   // 1. Deterministic trace merge: (ts, shard, intra-shard order). Events
   // staged by one shard are ts-nondecreasing already, so the comparator's
   // (shard, index) tie-break fully reproduces the sequential interleaving.
-  if (tracer_ != nullptr) {
+  // Untraced runs and quiet windows stage nothing and skip the sort.
+  const bool any_staged =
+      std::any_of(shards_.begin(), shards_.end(),
+                  [](const std::unique_ptr<Shard>& sh) { return !sh->staged.empty(); });
+  if (any_staged) {
     merge_scratch_.clear();
     for (uint32_t s = 0; s < shards_.size(); ++s) {
       const std::vector<Staged>& staged = shards_[s]->staged;
@@ -231,9 +238,9 @@ void ShardedEngine::BarrierDrain() {
       const Staged& e = shards_[ref.shard]->staged[ref.index];
       tracer_->RecordAt(e.ts, e.kind, e.cluster, e.gpid, e.channel, e.a, e.b);
     }
-  }
-  for (auto& sh : shards_) {
-    sh->staged.clear();
+    for (auto& sh : shards_) {
+      sh->staged.clear();
+    }
   }
 
   // 2. Cross-shard posts, in (source shard, post order) order: destination

@@ -13,6 +13,9 @@ namespace {
 // [base + max_local, base + max_local + keys_per_partition) are shared.
 constexpr uint32_t kPartitionKeyStride = 65536;
 
+// A client's plan table entry: three words (op | verify << 8, key, value).
+constexpr uint32_t kPlanEntryBytes = 12;
+
 uint32_t MaxLocalSessions(const KvOptions& o) {
   return (o.sessions + o.partitions - 1) / o.partitions;
 }
@@ -60,7 +63,7 @@ class ZipfSampler {
  private:
   // Deterministic x^t for t in (0,1) via exp/log is fine here: libm pow on
   // the same doubles is bit-stable within one build, and the plan is baked
-  // into program text before the simulation starts, so cross-build drift
+  // into the program image before the simulation starts, so cross-build drift
   // can never desynchronize a single run.
   static double Pow(uint32_t base, double t) {
     return __builtin_pow(static_cast<double>(base), t);
@@ -380,12 +383,11 @@ store: .space )" + S(store_words * 4) + R"(
 // r9 backup fd, r10 primary fd, r11/r12 scratch, r13 verification-failure
 // count (becomes the exit status).
 
-Executable KvClientProgram(uint32_t session, const KvOptions& options) {
+std::string KvClientSource(uint32_t session, const KvOptions& options) {
   AURAGEN_CHECK(session < options.sessions);
   const uint32_t partition = session % options.partitions;
   const bool replicated = options.replicas == 2;
-  const std::vector<KvRequest> plan = PlanSession(session, options);
-  const uint32_t nreq = static_cast<uint32_t>(plan.size());
+  const uint32_t nreq = options.requests_per_session;
 
   // Stagger session start deterministically so thousands of clients don't
   // issue their first request on the same work quantum.
@@ -426,7 +428,7 @@ think:
     li r12, )" + S(options.think_spin == 0 ? 1 : options.think_spin) + R"(
     blt r11, r12, think
     ; build request from the baked plan entry
-    li r11, 12
+    li r11, )" + S(kPlanEntryBytes) + R"(
     mul r6, r8, r11
     li r11, table
     add r6, r6, r11
@@ -472,7 +474,7 @@ attempt:
     li r1, 2
     sys mark
     ; verify if the plan demands it
-    li r11, 12
+    li r11, )" + S(kPlanEntryBytes) + R"(
     mul r6, r8, r11
     li r11, table
     add r6, r6, r11
@@ -555,16 +557,34 @@ pname: .ascii ")" + KvPrimaryChannel(partition, session) + R"("
     src += "bname: .ascii \"" + KvBackupChannel(partition, session) +
            "\"\n.space 3\n";
   }
-  src += "table:\n";
-  for (const KvRequest& r : plan) {
-    src += ".word " + S(r.op | (r.verify ? 256u : 0u)) + "\n.word " + S(r.key) +
-           "\n.word " + S(r.value) + "\n";
-  }
-  src += R"(
+  src += "table: .space " + S(kPlanEntryBytes * nreq) + R"(
 req: .space 20
 rep: .space 12
 )";
-  return MustAssemble(src);
+  return src;
+}
+
+Executable KvClientProgram(uint32_t session, const KvOptions& options) {
+  AsmOutput out = Assemble(KvClientSource(session, options));
+  AURAGEN_CHECK(out.ok) << "assembly failed:" << out.error;
+  const std::vector<KvRequest> plan = PlanSession(session, options);
+  const uint32_t nreq = static_cast<uint32_t>(plan.size());
+  // The plan is written straight into the reserved table, as the words
+  // `.word` would emit them: images are paged in by content (§7.6), so the
+  // bytes must not depend on how the table was filled.
+  const auto table = out.labels.find("table");
+  AURAGEN_CHECK(table != out.labels.end()) << "client program lost its plan table";
+  Bytes& image = out.exe.image;
+  AURAGEN_CHECK(table->second + size_t{kPlanEntryBytes} * nreq <= image.size())
+      << "plan table at " << table->second << " overruns the " << image.size()
+      << "-byte image";
+  uint8_t* at = image.data() + table->second;
+  for (const KvRequest& r : plan) {
+    for (uint32_t word : {r.op | (r.verify ? 256u : 0u), r.key, r.value}) {
+      for (int i = 0; i < 4; ++i) *at++ = static_cast<uint8_t>(word >> (8 * i));
+    }
+  }
+  return std::move(out.exe);
 }
 
 // --- deployment -----------------------------------------------------------
@@ -621,10 +641,11 @@ KvDeployment DeployKv(Machine& machine, const KvOptions& options) {
 }
 
 bool KvClientsDone(const Machine& machine, const KvDeployment& d) {
-  for (Gpid pid : d.clients) {
-    if (!machine.HasExited(pid)) return false;
+  while (d.clients_exited < d.clients.size() &&
+         machine.HasExited(d.clients[d.clients_exited])) {
+    ++d.clients_exited;
   }
-  return true;
+  return d.clients_exited == d.clients.size();
 }
 
 uint64_t KvMismatchTotal(const Machine& machine, const KvDeployment& d) {

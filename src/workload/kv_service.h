@@ -82,6 +82,11 @@ std::string KvReplicaChannel(uint32_t partition);                    // ch:kr.PP
 // Program builders (exposed for tests; DeployKv drives them).
 Executable KvServerProgram(uint32_t partition, bool backup_role,
                            const KvOptions& options);
+// A client's assembly source. Its plan table is reserved as
+// `table: .space 12*requests` and left zero; KvClientProgram assembles the
+// source and writes the session's plan into the table as bytes, one
+// (op | verify << 8, key, value) triple of little-endian words per request.
+std::string KvClientSource(uint32_t session, const KvOptions& options);
 Executable KvClientProgram(uint32_t session, const KvOptions& options);
 
 // A deployed service: pids and placement of everything spawned.
@@ -93,6 +98,10 @@ struct KvDeployment {
   std::vector<ClusterId> primary_clusters;
   std::vector<ClusterId> backup_clusters;
   std::vector<ClusterId> client_clusters; // by session
+
+  // KvClientsDone's resume point: clients [0, clients_exited) are known to
+  // have exited. Exits are permanent, so the cursor only moves forward.
+  mutable size_t clients_exited = 0;
 };
 
 // Spawns servers (primaries, then app backups, then clients, all in
@@ -100,9 +109,10 @@ struct KvDeployment {
 // per machine.
 KvDeployment DeployKv(Machine& machine, const KvOptions& options);
 
-// True once every client — and, with app-level replicas, every backup — has
-// exited. Safe as a RunUntil predicate under crash scenarios where a dead
-// primary never reports an exit.
+// True once every client has exited. Safe as a RunUntil predicate under
+// crash scenarios where a dead primary never reports an exit. Amortised O(1):
+// each call resumes at the first client not yet seen exited, and returns
+// what a scan of every client would.
 bool KvClientsDone(const Machine& machine, const KvDeployment& d);
 
 // Sum of client exit statuses (each client exits with its count of

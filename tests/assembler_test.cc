@@ -69,6 +69,31 @@ gap: .space 4
   EXPECT_EQ(DecodeAt(out.exe, 0).imm, data_base + 12);  // bytes label
 }
 
+TEST(Assembler, ExportsResolvedLabels) {
+  AsmOutput out = Assemble(R"(
+start:
+    nop
+loop:
+    jmp loop
+.data
+first: .word 7
+table: .space 24
+tail:
+)");
+  ASSERT_TRUE(out.ok) << out.error;
+  // Text labels are instruction offsets; data labels sit past the 8-aligned
+  // data base, which follows the two instructions.
+  const uint32_t data_base = 2 * kAvmInstrBytes;
+  EXPECT_EQ(out.labels.at("start"), 0u);
+  EXPECT_EQ(out.labels.at("loop"), kAvmInstrBytes);
+  EXPECT_EQ(out.labels.at("first"), data_base);
+  EXPECT_EQ(out.labels.at("table"), data_base + 4);
+  EXPECT_EQ(out.labels.at("tail"), data_base + 28);
+  EXPECT_EQ(out.exe.image.size(), data_base + 28);
+  EXPECT_EQ(out.labels.size(), 5u);
+  EXPECT_EQ(DecodeAt(out.exe, 1).imm, out.labels.at("loop"));
+}
+
 TEST(Assembler, RegistersAndAliases) {
   AsmOutput out = Assemble("mov sp, lr\n");
   ASSERT_TRUE(out.ok) << out.error;

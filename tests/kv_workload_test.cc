@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "src/avm/assembler.h"
 #include "src/machine/machine.h"
 #include "src/trace/analysis.h"
 #include "src/workload/kv_service.h"
@@ -145,6 +148,72 @@ TEST(KvWorkload, MarksFeedLatencyHistograms) {
   EXPECT_LE(a.request_latency.p999(), a.request_latency.max_us());
   EXPECT_GE(a.request_latency.p50(), a.request_latency.min_us());
   EXPECT_GT(a.RequestGoodputPerSec(), 0.0);
+}
+
+// Oracle for KvClientProgram: the same client assembled entirely from text,
+// its plan table spelled out as three `.word` lines per request.
+Executable ClientProgramViaWordText(uint32_t session, const KvOptions& kv) {
+  std::string src = KvClientSource(session, kv);
+  const std::string reserved =
+      "table: .space " + std::to_string(12 * kv.requests_per_session) + "\n";
+  const size_t at = src.find(reserved);
+  EXPECT_NE(at, std::string::npos);
+  std::string words = "table:\n";
+  for (const KvRequest& r : PlanSession(session, kv)) {
+    words += ".word " + std::to_string(r.op | (r.verify ? 256u : 0u)) + "\n.word " +
+             std::to_string(r.key) + "\n.word " + std::to_string(r.value) + "\n";
+  }
+  src.replace(at, reserved.size(), words);
+  return MustAssemble(src);
+}
+
+// Writing the plan as bytes at `table` yields exactly the image the `.word`
+// text used to: program images are paged in by content, so every byte counts.
+TEST(KvWorkload, ClientImageMatchesWordTextEmitter) {
+  for (uint32_t replicas : {1u, 2u}) {
+    for (uint32_t requests : {2u, 16u, 1000u}) {
+      for (uint64_t seed : {1u, 7u, 7919u}) {
+        KvOptions kv = SmallOptions();
+        kv.replicas = replicas;
+        kv.requests_per_session = requests;
+        kv.seed = seed;
+        for (uint32_t session : {0u, 5u, 11u}) {
+          SCOPED_TRACE("replicas=" + std::to_string(replicas) + " requests=" +
+                       std::to_string(requests) + " seed=" + std::to_string(seed) +
+                       " session=" + std::to_string(session));
+          const Executable fast = KvClientProgram(session, kv);
+          const Executable text = ClientProgramViaWordText(session, kv);
+          EXPECT_EQ(fast.entry, text.entry);
+          ASSERT_EQ(fast.image, text.image);
+        }
+      }
+    }
+  }
+}
+
+// The resuming KvClientsDone agrees with a scan of every client at every
+// call of a run that crashes a cluster mid-stream.
+TEST(KvWorkload, ClientsDoneMatchesFullScan) {
+  Machine machine(SmallMachine());
+  machine.Boot();
+  KvDeployment d = DeployKv(machine, SmallOptions());
+  machine.CrashClusterAt(machine.Now() + 4'000, 2);
+  uint64_t calls = 0;
+  uint64_t disagreements = 0;
+  const bool done = machine.RunUntil(
+      [&] {
+        bool all = true;
+        for (Gpid pid : d.clients) all = all && machine.HasExited(pid);
+        const bool fast = KvClientsDone(machine, d);
+        disagreements += fast != all ? 1 : 0;
+        ++calls;
+        return fast;
+      },
+      500'000'000);
+  EXPECT_TRUE(done);
+  EXPECT_GT(calls, 100u);
+  EXPECT_EQ(disagreements, 0u);
+  EXPECT_TRUE(KvClientsDone(machine, d));
 }
 
 }  // namespace

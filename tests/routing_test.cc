@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "src/base/rng.h"
 #include "src/core/routing.h"
 #include "src/kernel/native_body.h"
 
@@ -78,6 +84,93 @@ TEST(RoutingTable, ForEachVisitsEverything) {
   int visited = 0;
   table.ForEach([&](RoutingEntry&) { ++visited; });
   EXPECT_EQ(visited, 2);
+}
+
+// The indexes behind Find / EntriesOf / RemoveAllOf must agree with a plain
+// ordered map through any sequence of creates and removals, and visit
+// entries in that map's (channel, owner, role) order.
+TEST(RoutingTable, IndexesMatchOrderedModelUnderRandomChurn) {
+  using ModelKey = std::tuple<uint64_t, uint64_t, bool>;  // channel, owner, role
+  std::map<ModelKey, uint64_t> model;                       // -> tag
+  RoutingTable table;
+  Rng rng(20260);
+  const std::vector<Gpid> owners = {Gpid::Make(0, 1), Gpid::Make(0, 2), Gpid::Make(1, 1),
+                                    Gpid::Make(3, 9), Gpid::Make(7, 4)};
+  constexpr uint64_t kChannels = 12;
+  uint64_t next_tag = 1;
+
+  auto check = [&] {
+    ASSERT_EQ(table.size(), model.size());
+    std::vector<ModelKey> visited;
+    table.ForEach([&](RoutingEntry& e) {
+      visited.emplace_back(e.channel.value, e.owner.value, e.backup_entry);
+    });
+    std::vector<ModelKey> expected;
+    for (const auto& [key, tag] : model) expected.push_back(key);
+    ASSERT_EQ(visited, expected);
+    for (const Gpid owner : owners) {
+      for (const bool backup : {false, true}) {
+        std::vector<uint64_t> got;
+        for (const RoutingEntry* e : table.EntriesOf(owner, backup)) {
+          EXPECT_EQ(e->owner, owner);
+          EXPECT_EQ(e->backup_entry, backup);
+          got.push_back(e->channel.value);
+        }
+        std::vector<uint64_t> want;
+        for (const auto& [key, tag] : model) {
+          if (std::get<1>(key) == owner.value && std::get<2>(key) == backup) {
+            want.push_back(std::get<0>(key));
+          }
+        }
+        ASSERT_EQ(got, want);
+        for (uint64_t ch = 1; ch <= kChannels; ++ch) {
+          const RoutingEntry* e = std::as_const(table).Find(ChannelId{ch}, owner, backup);
+          auto it = model.find(ModelKey{ch, owner.value, backup});
+          if (it == model.end()) {
+            ASSERT_EQ(e, nullptr);
+          } else {
+            ASSERT_NE(e, nullptr);
+            ASSERT_EQ(e->writes_total, it->second);
+            ASSERT_EQ(e, table.Find(ChannelId{ch}, owner, backup));
+          }
+        }
+      }
+    }
+  };
+
+  for (int step = 0; step < 3000; ++step) {
+    const ChannelId ch{rng.Range(1, kChannels)};
+    const Gpid owner = owners[rng.Below(owners.size())];
+    const bool backup = rng.Chance(0.5);
+    const uint64_t dice = rng.Below(10);
+    if (dice < 6) {
+      // Create (possibly replacing a stale entry under the same key).
+      RoutingEntry& e = table.Create(ch, owner, backup);
+      e.writes_total = next_tag;
+      model[ModelKey{ch.value, owner.value, backup}] = next_tag++;
+    } else if (dice < 9) {
+      table.Remove(ch, owner, backup);
+      model.erase(ModelKey{ch.value, owner.value, backup});
+    } else {
+      table.RemoveAllOf(owner, backup);
+      for (auto it = model.begin(); it != model.end();) {
+        if (std::get<1>(it->first) == owner.value && std::get<2>(it->first) == backup) {
+          it = model.erase(it);
+        } else {
+          ++it;
+        }
+      }
+    }
+    check();
+    if (HasFatalFailure()) {
+      FAIL() << "diverged at step " << step;
+    }
+  }
+  // The table survives a move with its indexes intact (Kernel resets its
+  // table by move-assignment).
+  RoutingTable moved = std::move(table);
+  table = std::move(moved);
+  check();
 }
 
 // ----------------------------- NativeBody page-diff sync (system servers)
