@@ -20,25 +20,33 @@ StepResult Fault(const char* reason) {
   return r;
 }
 
-}  // namespace
+// The text page instruction fetch last resolved. Valid for one Step or
+// RunToTrap call: residency changes only between runs, and a store into the
+// executing page writes through the same buffer, so the next fetch sees it.
+struct TextPage {
+  PageNum page = kAvmNumPages;  // none resolved yet
+  const uint8_t* bytes = nullptr;
+};
 
-StepResult Step(CpuContext& ctx, GuestMemory& mem) {
+// The one instruction implementation, shared by Step and RunToTrap.
+[[gnu::always_inline]] inline StepResult Execute(CpuContext& ctx, GuestMemory& mem,
+                                                 TextPage& text) {
   // Fetch. The PC must be 8-byte aligned; text pages are ordinary pages and
   // can fault like any other (text is demand-paged on recovery, §7.10.2).
+  // Alignment keeps the instruction inside one page.
   if (ctx.pc % kAvmInstrBytes != 0 || ctx.pc + kAvmInstrBytes > kAvmMemBytes) {
     return Fault("bad pc");
   }
-  uint8_t raw[kAvmInstrBytes];
-  {
-    GuestMemory::Access a = mem.FetchInstr(ctx.pc, raw);
-    if (a == GuestMemory::Access::kFault) {
+  const PageNum page = PageOf(ctx.pc);
+  if (page != text.page) {
+    const uint8_t* bytes = mem.ResidentPage(page);
+    if (bytes == nullptr) {
       return PageFault(mem.fault_page());
     }
-    if (a == GuestMemory::Access::kOutOfRange) {
-      return Fault("fetch out of range");
-    }
+    text.page = page;
+    text.bytes = bytes;
   }
-  Instr in = DecodeInstr(raw);
+  Instr in = DecodeInstr(text.bytes + ctx.pc % kAvmPageBytes);
 
   auto reg_ok = [](uint8_t r) { return r < kAvmNumRegs; };
   if (!reg_ok(in.ra) || !reg_ok(in.rb) || !reg_ok(in.rc)) {
@@ -180,6 +188,27 @@ StepResult Step(CpuContext& ctx, GuestMemory& mem) {
   }
 
   ctx.pc = next_pc;
+  return StepResult{};
+}
+
+}  // namespace
+
+StepResult Step(CpuContext& ctx, GuestMemory& mem) {
+  TextPage text;
+  return Execute(ctx, mem, text);
+}
+
+StepResult RunToTrap(CpuContext& ctx, GuestMemory& mem, uint64_t budget, uint64_t* retired) {
+  TextPage text;
+  uint64_t n = 0;
+  for (; n < budget; ++n) {
+    StepResult r = Execute(ctx, mem, text);
+    if (r.kind != StepKind::kOk) {
+      *retired = n;
+      return r;
+    }
+  }
+  *retired = n;
   return StepResult{};
 }
 

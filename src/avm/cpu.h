@@ -1,11 +1,15 @@
 // AVM interpreter.
 //
 // The CPU is deliberately a pure function: Step(context, memory) executes
-// one instruction and reports what happened. All durable state lives in
-// CpuContext (the register part of the PCB, §7.7) and GuestMemory (the page
-// account, §7.6) — exactly the two things the sync protocol ships. An
-// instruction that page-faults has *no* side effects and leaves the PC
-// unchanged, so it re-executes cleanly after page-in.
+// one instruction and reports what happened; RunToTrap(context, memory,
+// budget) executes up to `budget` of them in one call and stops at the
+// first that does not retire normally. Both run the same instruction body,
+// so a RunToTrap call is exactly a Step loop that stops at the first
+// non-kOk result. All durable state lives in CpuContext (the register part
+// of the PCB, §7.7) and GuestMemory (the page account, §7.6) — exactly the
+// two things the sync protocol ships. An instruction that page-faults has
+// *no* side effects and leaves the PC unchanged, so it re-executes cleanly
+// after page-in.
 
 #ifndef AURAGEN_SRC_AVM_CPU_H_
 #define AURAGEN_SRC_AVM_CPU_H_
@@ -67,6 +71,12 @@ struct StepResult {
 
 // Executes one instruction.
 StepResult Step(CpuContext& ctx, GuestMemory& mem);
+
+// Executes instructions until one does not retire normally or `budget` have
+// retired. Sets *retired to the number that retired normally (kOk) and
+// returns the stopping instruction's result, or kOk when the budget ran
+// out. Instruction fetch resolves the text page only when the pc leaves it.
+StepResult RunToTrap(CpuContext& ctx, GuestMemory& mem, uint64_t budget, uint64_t* retired);
 
 // Renders an instruction for traces and the disassembler.
 std::string Disassemble(const Instr& instr);

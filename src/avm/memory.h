@@ -36,10 +36,17 @@ class GuestMemory {
   Access Write8(uint32_t addr, uint8_t value);
   Access Write32(uint32_t addr, uint32_t value);
 
-  // One aligned instruction word per call. Alignment guarantees the fetch
-  // never crosses a page (kAvmPageBytes is a multiple of kAvmInstrBytes),
-  // so a single residency check covers all bytes.
-  Access FetchInstr(uint32_t addr, uint8_t out[kAvmInstrBytes]);
+  // Instruction fetch: the bytes of `page` when it is resident, else nullptr
+  // with fault_page() set. The pointer stays valid until the page's
+  // residency changes (install, evict), which happens only between runs;
+  // stores into the page write through it.
+  const uint8_t* ResidentPage(PageNum page) {
+    if (!resident_[page]) {
+      fault_page_ = page;
+      return nullptr;
+    }
+    return pages_[page].data();
+  }
 
   // Bulk access for kernel copies of syscall buffers. Faults on the first
   // non-resident page touched.
@@ -184,21 +191,6 @@ inline GuestMemory::Access GuestMemory::Write32(uint32_t addr, uint32_t value) {
     PageNum p = PageOf(byte_addr);
     pages_[p][byte_addr % kAvmPageBytes] = static_cast<uint8_t>(value >> (8 * i));
     dirty_gen_[p] = write_gen_;
-  }
-  return Access::kOk;
-}
-
-inline GuestMemory::Access GuestMemory::FetchInstr(uint32_t addr,
-                                                   uint8_t out[kAvmInstrBytes]) {
-  static_assert(kAvmPageBytes % kAvmInstrBytes == 0,
-                "aligned fetches must not cross pages");
-  Access a = Require(addr, kAvmInstrBytes);
-  if (a != Access::kOk) {
-    return a;
-  }
-  const uint8_t* b = pages_[PageOf(addr)].data() + addr % kAvmPageBytes;
-  for (uint32_t i = 0; i < kAvmInstrBytes; ++i) {
-    out[i] = b[i];
   }
   return Access::kOk;
 }

@@ -37,46 +37,43 @@ BodyRun AvmBody::Run(uint64_t budget) {
     pending_copy_.reset();
   }
 
-  while (work < budget) {
-    StepResult step = Step(ctx_, mem_);
-    switch (step.kind) {
-      case StepKind::kOk:
-        ++work;
-        break;
-      case StepKind::kSyscall: {
-        work += kSyscallWork;
-        std::optional<BodyRun> run = MaterializeSyscall(step.sys_num, work);
-        if (run.has_value()) {
-          return *run;
-        }
-        // Argument copy faulted: pc was rewound to re-trap; report the fault.
-        BodyRun r;
-        r.kind = BodyRun::Kind::kPageFault;
-        r.fault_page = mem_.fault_page();
-        r.work = work;
-        return r;
+  StepResult step = RunToTrap(ctx_, mem_, budget, &work);
+  switch (step.kind) {
+    case StepKind::kOk:
+      break;  // budget exhausted
+    case StepKind::kSyscall: {
+      work += kSyscallWork;
+      std::optional<BodyRun> run = MaterializeSyscall(step.sys_num, work);
+      if (run.has_value()) {
+        return *run;
       }
-      case StepKind::kPageFault: {
-        BodyRun r;
-        r.kind = BodyRun::Kind::kPageFault;
-        r.fault_page = step.fault_page;
-        r.work = work;
-        return r;
-      }
-      case StepKind::kHalt: {
-        BodyRun r;
-        r.kind = BodyRun::Kind::kExited;
-        r.exit_status = static_cast<int32_t>(ctx_.regs[1]);
-        r.work = work + 1;
-        return r;
-      }
-      case StepKind::kFault: {
-        BodyRun r;
-        r.kind = BodyRun::Kind::kFault;
-        r.fault_reason = step.fault_reason;
-        r.work = work + 1;
-        return r;
-      }
+      // Argument copy faulted: pc was rewound to re-trap; report the fault.
+      BodyRun r;
+      r.kind = BodyRun::Kind::kPageFault;
+      r.fault_page = mem_.fault_page();
+      r.work = work;
+      return r;
+    }
+    case StepKind::kPageFault: {
+      BodyRun r;
+      r.kind = BodyRun::Kind::kPageFault;
+      r.fault_page = step.fault_page;
+      r.work = work;
+      return r;
+    }
+    case StepKind::kHalt: {
+      BodyRun r;
+      r.kind = BodyRun::Kind::kExited;
+      r.exit_status = static_cast<int32_t>(ctx_.regs[1]);
+      r.work = work + 1;
+      return r;
+    }
+    case StepKind::kFault: {
+      BodyRun r;
+      r.kind = BodyRun::Kind::kFault;
+      r.fault_reason = step.fault_reason;
+      r.work = work + 1;
+      return r;
     }
   }
 
@@ -96,8 +93,12 @@ std::optional<BodyRun> AvmBody::MaterializeSyscall(uint32_t sys_num, uint64_t wo
   req.b = ctx_.regs[2];
   req.c = ctx_.regs[3];
 
-  auto read_guest = [&](uint32_t addr, uint32_t len) -> bool {
-    GuestMemory::Access a = mem_.ReadRange(addr, len, &req.data);
+  auto read_guest = [&](uint32_t addr, uint64_t len) -> bool {
+    // A length past the address space cannot fit anywhere; checking it
+    // before narrowing keeps huge counts from wrapping into short reads.
+    GuestMemory::Access a = len > kAvmMemBytes
+                                ? GuestMemory::Access::kOutOfRange
+                                : mem_.ReadRange(addr, static_cast<uint32_t>(len), &req.data);
     if (a == GuestMemory::Access::kOk) {
       return true;
     }
@@ -128,7 +129,7 @@ std::optional<BodyRun> AvmBody::MaterializeSyscall(uint32_t sys_num, uint64_t wo
       break;
     case Sys::kBunch:
       // r1 = ptr to fd words, r2 = count.
-      if (!read_guest(static_cast<uint32_t>(req.a), static_cast<uint32_t>(req.b) * 4)) {
+      if (!read_guest(static_cast<uint32_t>(req.a), req.b * 4)) {
         return std::nullopt;
       }
       break;
@@ -245,7 +246,6 @@ void AvmBody::LeaveSignal() {
 }
 
 std::unique_ptr<AvmBody> AvmBody::CloneForFork(uint32_t parent_rv) {
-  AURAGEN_CHECK(!awaiting_completion_ || true);
   auto child = std::make_unique<AvmBody>(*this);
   // The fork syscall completion wrote r0 already at the kernel's direction;
   // here we only differentiate child vs parent return values.

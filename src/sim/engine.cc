@@ -55,44 +55,12 @@ void Engine::Cancel(EventId id) {
 }
 
 bool Engine::Step(SimTime until) {
-  while (!queue_.empty()) {
-    if (queue_.top().when > until || dispatch_limit_hit()) {
-      return false;
-    }
-    Event ev = queue_.top();
-    queue_.pop();
-    if (slots_[ev.slot].gen != ev.gen) {
-      // Cancelled while pending; the slot is free for reuse now that its
-      // heap entry is gone.
-      free_slots_.push_back(ev.slot);
-      continue;
-    }
-    --live_events_;
-    Task fn = std::move(slots_[ev.slot].task);
-    ++slots_[ev.slot].gen;
-    free_slots_.push_back(ev.slot);
-    now_ = ev.when;
-    ++dispatched_;
-    last_dispatched_ = MakeId(ev.slot, ev.gen);
-    if (tracer_ != nullptr) {
-      tracer_->Record(TraceEventKind::kEngineDispatch, kNoCluster, 0, 0, last_dispatched_, 0);
-    }
-    fn();
-    return true;
+  Task fn;
+  if (!PopDue(until, fn)) {
+    return false;
   }
-  return false;
-}
-
-SimTime Engine::NextEventTime() const {
-  // Stale (cancelled) entries can only sit at the top transiently — they are
-  // popped by Step as they surface — but a caller may probe before any Step.
-  // The top entry's time is still a lower bound; for exactness, skip ahead
-  // only when the engine has no live work at all.
-  if (live_events_ == 0) {
-    return kSimForever;
-  }
-  AURAGEN_CHECK(!queue_.empty());
-  return queue_.top().when;
+  fn();
+  return true;
 }
 
 uint64_t Engine::Run(SimTime until) {

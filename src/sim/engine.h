@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "src/base/check.h"
@@ -71,9 +72,38 @@ class Engine {
   // Stop() or the dispatch limit cut the run short.
   uint64_t Run(SimTime until = kSimForever);
 
-  // Runs exactly one event if any is pending before `until`. Returns false
-  // when nothing was dispatched.
+  // Runs exactly one event if any is pending at or before `until`. Returns
+  // false when nothing was dispatched.
   bool Step(SimTime until = kSimForever);
+
+  // Dispatches every event due strictly before `end`, in (time, sequence)
+  // order, in one call: exactly a Step(end - 1) loop, including events the
+  // callbacks schedule before `end`. `after()` runs once after each callback
+  // returns (ShardedEngine stages its dispatch record there, behind the
+  // callback's own records). Ignores Stop(); honours the dispatch limit.
+  // Returns the number of events dispatched.
+  template <typename AfterDispatch>
+  uint64_t RunBefore(SimTime end, AfterDispatch&& after) {
+    uint64_t n = 0;
+    if (end == 0) {
+      return 0;
+    }
+    for (;;) {
+      {
+        Task fn;
+        if (!PopDue(end - 1, fn)) {
+          break;
+        }
+        fn();
+      }
+      ++n;
+      after();
+    }
+    return n;
+  }
+  uint64_t RunBefore(SimTime end) {
+    return RunBefore(end, [] {});
+  }
 
   bool Empty() const { return live_events_ == 0; }
   uint64_t dispatched() const { return dispatched_; }
@@ -81,7 +111,17 @@ class Engine {
 
   // Absolute time of the earliest live pending event, or kSimForever when
   // none. Used by ShardedEngine to pick the next window.
-  SimTime NextEventTime() const;
+  SimTime NextEventTime() const {
+    // Stale (cancelled) entries can only sit at the top transiently — they
+    // are popped as they surface — but a caller may probe before any Step.
+    // The top entry's time is still a lower bound; for exactness, skip ahead
+    // only when the engine has no live work at all.
+    if (live_events_ == 0) {
+      return kSimForever;
+    }
+    AURAGEN_CHECK(!queue_.empty());
+    return queue_.top().when;
+  }
 
   // Time of the heap's top entry, live or cancelled, or kSimForever when the
   // heap is empty. Step(until) pops nothing while this is past `until`, so
@@ -157,6 +197,38 @@ class Engine {
 
   static EventId MakeId(uint32_t slot, uint32_t gen) {
     return (static_cast<EventId>(slot) + 1) << 32 | gen;
+  }
+
+  // The one event-pop path, shared by Step and RunBefore: discards
+  // cancelled leftovers as they surface, stops at the dispatch limit, and
+  // otherwise moves the next event due at or before `until` into `fn` with
+  // the clock advanced to its time. Returns false when none is due.
+  bool PopDue(SimTime until, Task& fn) {
+    while (!queue_.empty()) {
+      const Event ev = queue_.top();
+      if (ev.when > until || dispatch_limit_hit()) {
+        return false;
+      }
+      queue_.pop();
+      Slot& slot = slots_[ev.slot];
+      free_slots_.push_back(ev.slot);
+      if (slot.gen != ev.gen) {
+        // Cancelled while pending; the slot is free for reuse now that its
+        // heap entry is gone.
+        continue;
+      }
+      --live_events_;
+      fn = std::move(slot.task);
+      ++slot.gen;
+      now_ = ev.when;
+      ++dispatched_;
+      last_dispatched_ = MakeId(ev.slot, ev.gen);
+      if (tracer_ != nullptr) {
+        tracer_->Record(TraceEventKind::kEngineDispatch, kNoCluster, 0, 0, last_dispatched_, 0);
+      }
+      return true;
+    }
+    return false;
   }
 
   SimTime now_ = 0;

@@ -22,6 +22,7 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
   for (uint32_t s = 0; s < options.num_shards; ++s) {
     shards_.push_back(std::make_unique<Shard>());
   }
+  heap_tops_.resize(options.num_shards, kSimForever);
   threads_ = std::max<uint32_t>(1, std::min(options.threads, options.num_shards));
   if (threads_ > 1) {
     workers_.reserve(threads_ - 1);
@@ -144,9 +145,6 @@ void ShardedEngine::Trace(TraceEventKind kind, ClusterId cluster, uint64_t gpid,
 void ShardedEngine::RunShardWindow(ShardId shard, SimTime window_end) {
   Shard& sh = *shards_[shard];
   Engine& core = sh.core;
-  if (core.HeapTopTime() >= window_end) {
-    return;  // idle this window: Step would pop nothing
-  }
   if (dispatch_limit_ != 0) {
     core.set_dispatch_limit(core.dispatched() + window_budget_);
   } else {
@@ -154,16 +152,29 @@ void ShardedEngine::RunShardWindow(ShardId shard, SimTime window_end) {
   }
   tl_engine = this;
   tl_shard = shard;
-  // Dispatch everything strictly before the window end. Step pops cancelled
-  // leftovers as they surface, so this also keeps the heap tidy.
-  while (core.Step(window_end - 1)) {
-    if (stage_dispatch_trace_) {
+  // Dispatch everything strictly before the window end. The pop path
+  // discards cancelled leftovers as they surface, so this also keeps the
+  // heap tidy.
+  if (stage_dispatch_trace_) {
+    sh.window_events = core.RunBefore(window_end, [&sh, &core] {
       sh.staged.push_back(Staged{core.Now(), TraceEventKind::kEngineDispatch, kNoCluster, 0,
                                  0, core.last_dispatched(), 0});
-    }
+    });
+  } else {
+    sh.window_events = core.RunBefore(window_end);
   }
   tl_engine = nullptr;
   tl_shard = kNoShard;
+}
+
+void ShardedEngine::RunShardTickets(SimTime window_end) {
+  uint32_t shard;
+  while ((shard = next_shard_.fetch_add(1, std::memory_order_relaxed)) < shards_.size()) {
+    if (heap_tops_[shard] < window_end) {
+      RunShardWindow(shard, window_end);
+      shards_[shard]->ran = true;
+    }
+  }
 }
 
 void ShardedEngine::WorkerLoop() {
@@ -179,10 +190,7 @@ void ShardedEngine::WorkerLoop() {
       seen = window_seq_;
       end = published_end_;
     }
-    uint32_t shard;
-    while ((shard = next_shard_.fetch_add(1, std::memory_order_relaxed)) < shards_.size()) {
-      RunShardWindow(shard, end);
-    }
+    RunShardTickets(end);
     {
       std::lock_guard<std::mutex> lk(mu_);
       ++workers_parked_;
@@ -201,28 +209,41 @@ void ShardedEngine::ExecuteWindowParallel(SimTime window_end) {
   }
   cv_workers_.notify_all();
   // The main thread is a full participant in the shard ticket race.
-  uint32_t shard;
-  while ((shard = next_shard_.fetch_add(1, std::memory_order_relaxed)) < shards_.size()) {
-    RunShardWindow(shard, window_end);
-  }
+  RunShardTickets(window_end);
   // Wait until every worker has parked: only then is all shard state (heaps,
-  // outboxes, staged traces) safely visible to the barrier, and only then
-  // may next_shard_ be rearmed for the following window.
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_main_.wait(lk, [&] { return workers_parked_ == workers_.size(); });
+  // outboxes, staged traces, ran flags) safely visible to the barrier, and
+  // only then may next_shard_ be rearmed for the following window.
+  {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_main_.wait(lk, [&] { return workers_parked_ == workers_.size(); });
+  }
+  for (uint32_t s = 0; s < shards_.size(); ++s) {
+    if (shards_[s]->ran) {
+      shards_[s]->ran = false;
+      ran_.push_back(s);
+    }
+  }
 }
 
 void ShardedEngine::BarrierDrain() {
+  // Only the shards that ran can have dispatched, staged or posted anything
+  // this window; ran_ lists them in ascending order, which is the order the
+  // merge and the drain below need.
+  ++stats_.windows;
+  stats_.shard_runs += ran_.size();
+  bool any_staged = false;
+  for (ShardId s : ran_) {
+    stats_.events += shards_[s]->window_events;
+    any_staged = any_staged || !shards_[s]->staged.empty();
+  }
+
   // 1. Deterministic trace merge: (ts, shard, intra-shard order). Events
   // staged by one shard are ts-nondecreasing already, so the comparator's
   // (shard, index) tie-break fully reproduces the sequential interleaving.
   // Untraced runs and quiet windows stage nothing and skip the sort.
-  const bool any_staged =
-      std::any_of(shards_.begin(), shards_.end(),
-                  [](const std::unique_ptr<Shard>& sh) { return !sh->staged.empty(); });
   if (any_staged) {
     merge_scratch_.clear();
-    for (uint32_t s = 0; s < shards_.size(); ++s) {
+    for (ShardId s : ran_) {
       const std::vector<Staged>& staged = shards_[s]->staged;
       for (uint32_t i = 0; i < staged.size(); ++i) {
         merge_scratch_.push_back(MergeRef{staged[i].ts, s, i});
@@ -238,20 +259,23 @@ void ShardedEngine::BarrierDrain() {
       const Staged& e = shards_[ref.shard]->staged[ref.index];
       tracer_->RecordAt(e.ts, e.kind, e.cluster, e.gpid, e.channel, e.a, e.b);
     }
-    for (auto& sh : shards_) {
-      sh->staged.clear();
+    for (ShardId s : ran_) {
+      shards_[s]->staged.clear();
     }
   }
 
   // 2. Cross-shard posts, in (source shard, post order) order: destination
   // event ids and FIFO tie-breaks are thereby a pure function of the
   // per-shard schedules, never of thread timing.
-  for (auto& sh : shards_) {
-    for (CrossPost& post : sh->outbox) {
+  for (ShardId s : ran_) {
+    std::vector<CrossPost>& outbox = shards_[s]->outbox;
+    stats_.cross_posts += outbox.size();
+    for (CrossPost& post : outbox) {
       shards_[post.dst]->core.ScheduleAt(post.when, std::move(post.fn));
     }
-    sh->outbox.clear();
+    outbox.clear();
   }
+  ran_.clear();
 }
 
 uint64_t ShardedEngine::Run(SimTime until) {
@@ -263,7 +287,7 @@ uint64_t ShardedEngine::Run(SimTime until, const std::function<bool()>& stop_pre
   stop_.store(false, std::memory_order_relaxed);
   limit_hit_ = false;
   bool pred_halt = false;
-  const uint64_t start_dispatched = total_dispatched_;
+  const uint64_t start_dispatched = stats_.events;
   stage_dispatch_trace_ =
       tracer_ != nullptr && tracer_->WantsKind(TraceEventKind::kEngineDispatch);
 
@@ -271,14 +295,17 @@ uint64_t ShardedEngine::Run(SimTime until, const std::function<bool()>& stop_pre
     if (stop_.load(std::memory_order_relaxed)) {
       break;
     }
-    if (dispatch_limit_ != 0 && total_dispatched_ >= dispatch_limit_) {
+    if (dispatch_limit_ != 0 && stats_.events >= dispatch_limit_) {
       limit_hit_ = true;
       break;
     }
-    // Next window starts at the earliest pending event anywhere.
+    // Next window starts at the earliest pending event anywhere. The same
+    // scan records every heap top, which decides below which shards run.
     SimTime window_start = kSimForever;
-    for (const auto& sh : shards_) {
-      window_start = std::min(window_start, sh->core.NextEventTime());
+    for (uint32_t s = 0; s < shards_.size(); ++s) {
+      const Engine& core = shards_[s]->core;
+      heap_tops_[s] = core.HeapTopTime();
+      window_start = std::min(window_start, core.NextEventTime());
     }
     // A control due at or before the next shard event fires first, between
     // windows, with every shard clock aligned to the control time.
@@ -303,20 +330,20 @@ uint64_t ShardedEngine::Run(SimTime until, const std::function<bool()>& stop_pre
       window_end = ctrl;  // never dispatch past a pending control
     }
     window_budget_ =
-        dispatch_limit_ == 0 ? 0 : dispatch_limit_ - total_dispatched_;
+        dispatch_limit_ == 0 ? 0 : dispatch_limit_ - stats_.events;
     active_window_end_ = window_end;
     if (threads_ > 1) {
       ExecuteWindowParallel(window_end);
     } else {
+      // A shard whose heap top lies at or past the window end would pop
+      // nothing; it neither runs nor reaches the barrier.
       for (uint32_t s = 0; s < shards_.size(); ++s) {
-        RunShardWindow(s, window_end);
+        if (heap_tops_[s] < window_end) {
+          RunShardWindow(s, window_end);
+          ran_.push_back(s);
+        }
       }
     }
-    uint64_t total = 0;
-    for (const auto& sh : shards_) {
-      total += sh->core.dispatched();
-    }
-    total_dispatched_ = total;
     BarrierDrain();
     now_ = std::max(now_, window_end - 1);
     if (stop_pred && stop_pred()) {
@@ -331,7 +358,7 @@ uint64_t ShardedEngine::Run(SimTime until, const std::function<bool()>& stop_pre
       !stop_.load(std::memory_order_relaxed)) {
     now_ = until;
   }
-  return total_dispatched_ - start_dispatched;
+  return stats_.events - start_dispatched;
 }
 
 bool ShardedEngine::Empty() const {
@@ -341,14 +368,6 @@ bool ShardedEngine::Empty() const {
     }
   }
   return true;
-}
-
-uint64_t ShardedEngine::dispatched() const {
-  uint64_t total = 0;
-  for (const auto& sh : shards_) {
-    total += sh->core.dispatched();
-  }
-  return total;
 }
 
 }  // namespace auragen

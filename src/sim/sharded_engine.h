@@ -35,6 +35,11 @@
 //      Tracer digest — the merged stream, and hence the FNV digest, is a
 //      pure function of the per-shard streams.
 //
+// A window runs only the shards with an event due inside it, each in one
+// Engine::RunBefore call, and the barrier touches only those shards (in
+// ascending shard order): an idle shard dispatches, stages and posts
+// nothing, so skipping it changes no order above.
+//
 // Dispatch-limit (livelock guard) and Stop() take effect at window
 // barriers: the window is the unit of deterministic progress, so a limited
 // or stopped run halts at the same point for every thread count.
@@ -67,9 +72,9 @@ inline constexpr ShardId kSharedShard = 0;
 struct ShardedEngineOptions {
   // Shard 0 is shared; a machine with C clusters uses 1 + C shards.
   uint32_t num_shards = 1;
-  // Worker threads driving windows. 1 = sequential reference execution
-  // (same code path, no threads spawned); digests are identical for every
-  // value. Clamped to num_shards.
+  // Worker threads driving windows. 1 = sequential reference execution (the
+  // same per-shard window and barrier code, no threads spawned); digests
+  // are identical for every value. Clamped to num_shards.
   uint32_t threads = 1;
   // Conservative lookahead: the minimum cross-shard model latency, in
   // microseconds. Windows are [T, T+lookahead).
@@ -152,7 +157,19 @@ class ShardedEngine {
   void Stop() { stop_.store(true, std::memory_order_relaxed); }
 
   bool Empty() const;
-  uint64_t dispatched() const;
+  // Events dispatched by all shards, accumulated at each barrier.
+  uint64_t dispatched() const { return stats_.events; }
+
+  // Window statistics, kept on the driving thread at each barrier and never
+  // read by the model. They depend only on the simulated schedule, so they
+  // are identical for every thread count.
+  struct WindowStats {
+    uint64_t windows = 0;      // windows executed
+    uint64_t shard_runs = 0;   // (window, shard) pairs where the shard ran
+    uint64_t events = 0;       // events dispatched inside windows
+    uint64_t cross_posts = 0;  // cross-shard schedules drained at barriers
+  };
+  const WindowStats& window_stats() const { return stats_; }
 
   // Livelock guard, enforced deterministically at window granularity: each
   // window every shard receives the remaining global budget, and the run
@@ -194,6 +211,10 @@ class ShardedEngine {
     Engine core;
     std::vector<Staged> staged;    // this window's trace records, ts-ordered
     std::vector<CrossPost> outbox; // this window's cross-shard schedules
+    uint64_t window_events = 0;    // dispatched in the last window it ran
+    // Parallel mode: set by the thread that ran the shard this window; read
+    // and cleared by the driving thread after the park handshake.
+    bool ran = false;
   };
   // Merge key for the barrier trace merge (ts, shard, intra-shard order).
   struct MergeRef {
@@ -202,8 +223,14 @@ class ShardedEngine {
     uint32_t index;
   };
 
+  // Dispatches the shard's events before `window_end`; the caller has
+  // checked that its heap top lies inside the window (heap_tops_).
   void RunShardWindow(ShardId shard, SimTime window_end);
+  // Parallel mode: claims shards by ticket and runs the due ones.
+  void RunShardTickets(SimTime window_end);
   void ExecuteWindowParallel(SimTime window_end);
+  // Folds the shards in ran_ into the window: statistics, trace merge and
+  // cross-shard posts. Empties ran_.
   void BarrierDrain();
   void WorkerLoop();
   // Fires every control scheduled at `at` (in insertion order), with all
@@ -216,7 +243,6 @@ class ShardedEngine {
 
   SimTime now_ = 0;
   uint64_t dispatch_limit_ = 0;
-  uint64_t total_dispatched_ = 0;
   bool limit_hit_ = false;
   SimTime active_window_end_ = 0;    // immutable while a window executes
   uint64_t window_budget_ = 0;       // per-shard dispatch budget this window
@@ -224,6 +250,12 @@ class ShardedEngine {
   std::atomic<bool> stop_{false};
   Tracer* tracer_ = nullptr;
   std::vector<MergeRef> merge_scratch_;
+  // Each shard's heap top at the window-start scan; no heap changes
+  // between that scan and the window's run loop. Read by workers after the
+  // window is published.
+  std::vector<SimTime> heap_tops_;
+  std::vector<ShardId> ran_;  // shards that ran this window, ascending
+  WindowStats stats_;
   // Pending control events, fired between windows on the driving thread.
   // multimap preserves insertion order among equal times.
   std::multimap<SimTime, Task> controls_;

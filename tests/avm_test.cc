@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/avm/assembler.h"
 #include "src/avm/cpu.h"
 #include "src/avm/memory.h"
+#include "src/base/rng.h"
 #include "src/kernel/avm_body.h"
 
 namespace auragen {
@@ -258,6 +261,304 @@ TEST(Cpu, PageFaultHasNoSideEffects) {
   uint32_t v;
   mem.Read32(0xC000, &v);
   EXPECT_EQ(v, 7u);
+}
+
+// --- RunToTrap: one call, identical to a Step loop ---
+
+// The reference RunToTrap must equal: Step until a non-kOk result or until
+// `budget` instructions retired.
+StepResult StepLoop(CpuContext& ctx, GuestMemory& mem, uint64_t budget, uint64_t* retired) {
+  *retired = 0;
+  while (*retired < budget) {
+    StepResult r = Step(ctx, mem);
+    if (r.kind != StepKind::kOk) {
+      return r;
+    }
+    ++*retired;
+  }
+  return StepResult{};
+}
+
+void ExpectSameMemory(const GuestMemory& a, const GuestMemory& b) {
+  EXPECT_EQ(a.fault_page(), b.fault_page());
+  EXPECT_EQ(a.write_generation(), b.write_generation());
+  EXPECT_EQ(a.flushed_generation(), b.flushed_generation());
+  for (PageNum p = 0; p < kAvmNumPages; ++p) {
+    ASSERT_EQ(a.Resident(p), b.Resident(p)) << "page " << p;
+    EXPECT_EQ(a.page_generation(p), b.page_generation(p)) << "page " << p;
+    if (a.Resident(p)) {
+      ASSERT_EQ(a.ExtractPage(p), b.ExtractPage(p)) << "page " << p;
+    }
+  }
+}
+
+void ExpectSameStep(const StepResult& a, const StepResult& b) {
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.sys_num, b.sys_num);
+  EXPECT_EQ(a.fault_page, b.fault_page);
+  EXPECT_STREQ(a.fault_reason, b.fault_reason);
+}
+
+// Runs RunToTrap and the Step loop from the same state, checks that
+// context, memory, result and retired count agree, and leaves that common
+// state in ctx/mem.
+StepResult RunBoth(CpuContext& ctx, GuestMemory& mem, uint64_t budget, uint64_t* retired) {
+  CpuContext loop_ctx = ctx;
+  GuestMemory loop_mem = mem;
+  uint64_t loop_retired = 0;
+  StepResult want = StepLoop(loop_ctx, loop_mem, budget, &loop_retired);
+  StepResult got = RunToTrap(ctx, mem, budget, retired);
+  EXPECT_EQ(*retired, loop_retired) << "budget " << budget;
+  ExpectSameStep(got, want);
+  EXPECT_TRUE(ctx == loop_ctx) << "budget " << budget;
+  ExpectSameMemory(mem, loop_mem);
+  return got;
+}
+
+// Random programs live in the first kTextPages pages. r13 is never a
+// destination, so r13-based loads and stores reach text and data pages
+// (including the executing page); other bases mostly land out of range.
+constexpr PageNum kTextPages = 4;
+constexpr uint32_t kTextInstrs = kTextPages * kAvmPageBytes / kAvmInstrBytes;
+constexpr uint8_t kZeroReg = 13;
+
+Instr RandomInstr(Rng& rng) {
+  static const Op kOps[] = {
+      Op::kNop, Op::kLi,  Op::kMov, Op::kLd,  Op::kLdb, Op::kSt,   Op::kStb, Op::kAdd,
+      Op::kSub, Op::kMul, Op::kDiv, Op::kMod, Op::kAnd, Op::kOr,   Op::kXor, Op::kShl,
+      Op::kShr, Op::kSlt, Op::kSltu, Op::kAddi, Op::kJmp, Op::kBeq, Op::kBne, Op::kBlt,
+      Op::kBge, Op::kJal, Op::kJr,  Op::kSys, Op::kHalt};
+  Instr in;
+  in.op = kOps[rng.Below(sizeof(kOps) / sizeof(kOps[0]))];
+  in.ra = static_cast<uint8_t>(rng.Below(kZeroReg));
+  in.rb = static_cast<uint8_t>(rng.Below(kAvmNumRegs));
+  in.rc = static_cast<uint8_t>(rng.Below(kAvmNumRegs));
+  in.imm = static_cast<uint32_t>(rng.Below(1024));
+  switch (in.op) {
+    case Op::kLd:
+    case Op::kLdb:
+    case Op::kSt:
+    case Op::kStb:
+      if (rng.Chance(0.8)) {
+        in.rb = kZeroReg;
+        in.imm = static_cast<uint32_t>(rng.Below((kTextPages + 2) * kAvmPageBytes));
+      }
+      break;
+    case Op::kJmp:
+    case Op::kBeq:
+    case Op::kBne:
+    case Op::kBlt:
+    case Op::kBge:
+    case Op::kJal:
+      // Mostly aligned targets inside the text; a few unaligned or far.
+      in.imm = rng.Chance(0.9) ? static_cast<uint32_t>(rng.Below(kTextInstrs)) * kAvmInstrBytes
+                               : static_cast<uint32_t>(rng.Next());
+      break;
+    case Op::kHalt:
+      // Only a quarter stay halts, so runs get long; the rest become an
+      // illegal opcode or a bad register.
+      if (rng.Chance(0.5)) {
+        in.op = static_cast<Op>(0xee);
+      } else if (rng.Chance(0.5)) {
+        in.op = Op::kAdd;
+        in.rc = 20;
+      }
+      break;
+    default:
+      break;
+  }
+  return in;
+}
+
+Bytes RandomTextPage(Rng& rng) {
+  Bytes page(kAvmPageBytes);
+  for (uint32_t off = 0; off < kAvmPageBytes; off += kAvmInstrBytes) {
+    EncodeInstr(RandomInstr(rng), page.data() + off);
+  }
+  return page;
+}
+
+TEST(RunToTrap, MatchesStepLoopOnRandomPrograms) {
+  uint64_t traps = 0;
+  uint64_t retired_total = 0;
+  for (uint64_t seed = 1; seed <= 150; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    std::vector<Bytes> text;
+    GuestMemory mem;
+    for (PageNum p = 0; p < kTextPages; ++p) {
+      text.push_back(RandomTextPage(rng));
+      // Some text pages start evicted and fault in on first fetch.
+      if (rng.Chance(0.8)) {
+        mem.InstallPage(p, text[p]);
+      }
+    }
+    CpuContext ctx;
+    for (uint32_t r = 0; r < kAvmNumRegs; ++r) {
+      ctx.regs[r] = rng.Chance(0.7) ? static_cast<uint32_t>(rng.Below(8))
+                                    : static_cast<uint32_t>(rng.Next());
+    }
+    ctx.regs[kZeroReg] = 0;
+    ctx.pc = static_cast<uint32_t>(rng.Below(kTextInstrs)) * kAvmInstrBytes;
+
+    // Every budget from 1 to 64 from the same starting state.
+    for (uint64_t budget = 1; budget <= 64; ++budget) {
+      CpuContext c = ctx;
+      GuestMemory m = mem;
+      uint64_t retired = 0;
+      RunBoth(c, m, budget, &retired);
+      if (HasFailure()) {
+        return;
+      }
+    }
+
+    // Then a long run that resolves each trap the way a kernel would.
+    for (int round = 0; round < 40; ++round) {
+      uint64_t retired = 0;
+      StepResult r = RunBoth(ctx, mem, 1 + rng.Below(96), &retired);
+      if (HasFailure()) {
+        return;
+      }
+      retired_total += retired;
+      traps += r.kind != StepKind::kOk ? 1 : 0;
+      switch (r.kind) {
+        case StepKind::kOk:
+          break;
+        case StepKind::kSyscall:
+          ctx.regs[0] = static_cast<uint32_t>(rng.Below(4));
+          break;
+        case StepKind::kPageFault:
+          if (r.fault_page < kTextPages) {
+            mem.InstallPage(r.fault_page, text[r.fault_page]);
+          } else {
+            mem.MaterializeZero(r.fault_page, /*dirty=*/false);
+          }
+          break;
+        case StepKind::kHalt:
+        case StepKind::kFault:
+          ctx.pc = static_cast<uint32_t>(rng.Below(kTextInstrs)) * kAvmInstrBytes;
+          break;
+      }
+      if (rng.Chance(0.1)) {
+        mem.EvictAll();  // recovery: every page, text included, faults back in
+      }
+      if (rng.Chance(0.1)) {
+        mem.ClearAllDirty();  // a sync between runs
+      }
+    }
+  }
+  // The generator must actually reach both long runs and traps.
+  EXPECT_GT(retired_total, 10'000u);
+  EXPECT_GT(traps, 1'000u);
+}
+
+TEST(RunToTrap, StoreIntoExecutingPageIsFetched) {
+  // st overwrites the low word of the third instruction (a halt) with the
+  // opcode and register bytes of `li r2`; the imm word (7) stays. The run
+  // must execute the rewritten instruction, not the cached halt.
+  GuestMemory mem;
+  mem.MaterializeZero(0, false);
+  auto put = [&](uint32_t index, Instr in) {
+    uint8_t raw[kAvmInstrBytes];
+    EncodeInstr(in, raw);
+    for (uint32_t i = 0; i < kAvmInstrBytes; ++i) {
+      ASSERT_EQ(mem.Write8(index * kAvmInstrBytes + i, raw[i]), GuestMemory::Access::kOk);
+    }
+  };
+  put(0, Instr{Op::kSt, 1, kZeroReg, 0, 2 * kAvmInstrBytes});
+  put(1, Instr{Op::kNop, 0, 0, 0, 0});
+  put(2, Instr{Op::kHalt, 0, 0, 0, 7});
+  put(3, Instr{Op::kHalt, 0, 0, 0, 0});
+  CpuContext ctx;
+  ctx.regs[1] = static_cast<uint32_t>(Op::kLi) | 2u << 8;
+  uint64_t retired = 0;
+  StepResult r = RunBoth(ctx, mem, 100, &retired);
+  EXPECT_EQ(r.kind, StepKind::kHalt);
+  EXPECT_EQ(retired, 3u);
+  EXPECT_EQ(ctx.regs[2], 7u);
+  EXPECT_EQ(ctx.pc, 3 * kAvmInstrBytes);
+}
+
+TEST(RunToTrap, FetchFaultsWhenThePcLeavesForAnEvictedPage) {
+  // Page 0 is all nops, page 1 not resident: the run retires one page of
+  // instructions, then faults on page 1 with the pc at its first word.
+  GuestMemory mem;
+  mem.MaterializeZero(0, false);
+  CpuContext ctx;
+  uint64_t retired = 0;
+  StepResult r = RunBoth(ctx, mem, 1000, &retired);
+  ASSERT_EQ(r.kind, StepKind::kPageFault);
+  EXPECT_EQ(r.fault_page, 1u);
+  EXPECT_EQ(retired, kAvmPageBytes / kAvmInstrBytes);
+  EXPECT_EQ(ctx.pc, kAvmPageBytes);
+  // After page-in the run continues from the faulting fetch.
+  mem.MaterializeZero(1, false);
+  r = RunBoth(ctx, mem, 5, &retired);
+  EXPECT_EQ(r.kind, StepKind::kOk);
+  EXPECT_EQ(retired, 5u);
+  EXPECT_EQ(ctx.pc, kAvmPageBytes + 5 * kAvmInstrBytes);
+}
+
+TEST(RunToTrap, StopsAtBadPcIllegalOpAndDivideByZero) {
+  Executable exe = MustAssemble(R"(
+    li r1, 1
+    li r2, 0
+    div r3, r1, r2
+    halt
+)");
+  AvmBody body(exe);
+  CpuContext ctx = body.context();
+  uint64_t retired = 0;
+  StepResult r = RunBoth(ctx, body.memory(), 100, &retired);
+  EXPECT_EQ(r.kind, StepKind::kFault);
+  EXPECT_STREQ(r.fault_reason, "divide by zero");
+  EXPECT_EQ(retired, 2u);
+
+  ctx.pc = 3;  // unaligned
+  r = RunBoth(ctx, body.memory(), 100, &retired);
+  EXPECT_STREQ(r.fault_reason, "bad pc");
+  EXPECT_EQ(retired, 0u);
+
+  ctx.pc = kAvmMemBytes;  // past the address space
+  r = RunBoth(ctx, body.memory(), 100, &retired);
+  EXPECT_STREQ(r.fault_reason, "bad pc");
+
+  ASSERT_EQ(body.memory().Write8(3 * kAvmInstrBytes, 0xee), GuestMemory::Access::kOk);
+  ctx.pc = 3 * kAvmInstrBytes;
+  r = RunBoth(ctx, body.memory(), 100, &retired);
+  EXPECT_STREQ(r.fault_reason, "illegal opcode");
+}
+
+TEST(AvmBody, BunchCountPastAddressSpaceFaults) {
+  // count * 4 overflows 32 bits for counts >= 2^30; 0x40000001 used to wrap
+  // to a 4-byte read and bunch a single fd.
+  Executable exe = MustAssemble(R"(
+    li r1, 0x100
+    li r2, 0x40000001
+    sys bunch
+    halt
+)");
+  AvmBody body(exe);
+  BodyRun run = body.Run(1000);
+  ASSERT_EQ(run.kind, BodyRun::Kind::kFault);
+  EXPECT_STREQ(run.fault_reason, "syscall buffer out of range");
+
+  // An in-range count still copies count words.
+  Executable ok = MustAssemble(R"(
+    li r1, 0x100
+    li r2, 3
+    sys bunch
+    halt
+)");
+  AvmBody fine(ok);
+  run = fine.Run(1000);
+  while (run.kind == BodyRun::Kind::kPageFault) {
+    fine.InstallPage(run.fault_page, /*known=*/false, {});
+    run = fine.Run(1000);
+  }
+  ASSERT_EQ(run.kind, BodyRun::Kind::kSyscall);
+  EXPECT_EQ(run.request.num, Sys::kBunch);
+  EXPECT_EQ(run.request.data.size(), 12u);
 }
 
 TEST(AvmBody, ForkClonesMemoryAndDiffersR0) {

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/base/rng.h"
 #include "src/machine/shard_plan.h"
 #include "src/sim/cluster_model.h"
 #include "src/sim/engine.h"
@@ -124,6 +125,89 @@ TEST(EngineClock, CleanHorizonStillFastForwards) {
   engine.Schedule(10, [] {});
   engine.Run(100);
   EXPECT_EQ(engine.Now(), 100u);
+}
+
+// --- Engine::RunBefore is a Step loop in one call ----------------------
+
+// A seeded event script: each event logs its tag and, by its own random
+// word, may schedule a child (sometimes at the same instant) and cancel an
+// earlier event, pending or not. Two scripts built from one seed make the
+// same schedules and cancels as long as they dispatch in the same order.
+class EventScript {
+ public:
+  explicit EventScript(uint64_t seed) : engine_(Engine::kNoLogClock) {
+    Rng rng(seed);
+    for (uint32_t tag = 0; tag < 60; ++tag) {
+      Add(tag, rng.Below(100), rng.Next());
+    }
+  }
+  EventScript(const EventScript&) = delete;
+  EventScript& operator=(const EventScript&) = delete;
+
+  Engine& engine() { return engine_; }
+  std::vector<uint64_t>& log() { return log_; }
+
+ private:
+  void Add(uint64_t tag, SimTime when, uint64_t word) {
+    ids_.push_back(engine_.ScheduleAt(when, [this, tag, word] { Fire(tag, word); }));
+  }
+  void Fire(uint64_t tag, uint64_t word) {
+    log_.push_back(tag);
+    if (word % 3 == 0 && tag < 100'000) {
+      Add(tag * 10 + 1000, engine_.Now() + (word >> 8) % 20,
+          word * 6364136223846793005ull + 1442695040888963407ull);
+    }
+    if (word % 5 == 0) {
+      engine_.Cancel(ids_[(word >> 16) % ids_.size()]);
+    }
+  }
+
+  Engine engine_;
+  std::vector<EventId> ids_;
+  std::vector<uint64_t> log_;
+};
+
+TEST(EngineRunBefore, MatchesStepLoop) {
+  constexpr uint64_t kAfter = ~0ull;  // marks the after-dispatch hook in the log
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    for (SimTime end : {0u, 1u, 17u, 50u, 99u, 150u}) {
+      for (uint64_t limit : {0u, 1u, 25u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " end " + std::to_string(end) +
+                     " limit " + std::to_string(limit));
+        EventScript batch(seed);
+        EventScript loop(seed);
+        batch.engine().set_dispatch_limit(limit);
+        loop.engine().set_dispatch_limit(limit);
+
+        uint64_t n = batch.engine().RunBefore(end, [&] { batch.log().push_back(kAfter); });
+        uint64_t want = 0;
+        while (end != 0 && loop.engine().Step(end - 1)) {
+          loop.log().push_back(kAfter);
+          ++want;
+        }
+        EXPECT_EQ(n, want);
+        EXPECT_EQ(batch.log(), loop.log());
+        EXPECT_EQ(batch.engine().Now(), loop.engine().Now());
+        EXPECT_EQ(batch.engine().dispatched(), loop.engine().dispatched());
+        EXPECT_EQ(batch.engine().last_dispatched(), loop.engine().last_dispatched());
+        EXPECT_EQ(batch.engine().live_events(), loop.engine().live_events());
+        EXPECT_EQ(batch.engine().stale_heap_entries(), loop.engine().stale_heap_entries());
+        EXPECT_EQ(batch.engine().dispatch_limit_hit(), loop.engine().dispatch_limit_hit());
+
+        // The leftovers, cancelled entries included, drain identically too.
+        batch.engine().set_dispatch_limit(0);
+        loop.engine().set_dispatch_limit(0);
+        batch.engine().RunBefore(kSimForever);
+        loop.engine().Run();
+        EXPECT_EQ(batch.log(), loop.log());
+        EXPECT_TRUE(batch.engine().Empty());
+        EXPECT_EQ(batch.engine().stale_heap_entries(), 0u);
+        if (HasFailure()) {
+          return;
+        }
+      }
+    }
+  }
 }
 
 // --- ShardedEngine windows and merges ---------------------------------
@@ -242,6 +326,53 @@ TEST(ShardedEngine, DispatchLimitIsThreadCountInvariant) {
   auto par = run_limited(4);
   EXPECT_EQ(seq.first, par.first);
   EXPECT_EQ(seq.second, par.second);
+}
+
+TEST(ShardedEngine, DispatchedEqualsShardSumAndStatsAreThreadCountInvariant) {
+  // dispatched() accumulates only the shards that ran each window; it must
+  // still equal the per-shard totals, and the window statistics must not
+  // depend on the thread count.
+  for (uint64_t limit : {0u, 700u}) {
+    ShardedEngine::WindowStats want;
+    for (uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE("limit " + std::to_string(limit) + " threads " + std::to_string(threads));
+      ShardedEngineOptions seo;
+      seo.num_shards = 9;
+      seo.threads = threads;
+      seo.lookahead_us = 2;
+      ShardedEngine engine(seo);
+      ClusterModelOptions cmo;
+      cmo.clusters = 8;
+      cmo.seed = 3;
+      cmo.horizon_us = 6000;
+      ClusterModel model(engine, cmo);
+      model.Install();
+      engine.set_dispatch_limit(limit);
+      uint64_t returned = engine.Run(8000);
+      EXPECT_EQ(limit != 0, engine.dispatch_limit_hit());
+
+      uint64_t shard_sum = 0;
+      for (ShardId s = 0; s < engine.num_shards(); ++s) {
+        shard_sum += engine.shard_core(s).dispatched();
+      }
+      const ShardedEngine::WindowStats& st = engine.window_stats();
+      EXPECT_EQ(engine.dispatched(), shard_sum);
+      EXPECT_EQ(returned, shard_sum);
+      EXPECT_EQ(st.events, engine.dispatched());
+      EXPECT_GT(st.windows, 0u);
+      EXPECT_GE(st.shard_runs, st.windows);
+      EXPECT_LE(st.shard_runs, st.windows * engine.num_shards());
+      EXPECT_GT(st.cross_posts, 0u);
+      if (threads == 1) {
+        want = st;
+        continue;
+      }
+      EXPECT_EQ(st.windows, want.windows);
+      EXPECT_EQ(st.shard_runs, want.shard_runs);
+      EXPECT_EQ(st.events, want.events);
+      EXPECT_EQ(st.cross_posts, want.cross_posts);
+    }
+  }
 }
 
 // --- The oracle: parallel digests are bit-identical to sequential ------

@@ -10,6 +10,7 @@
 //   kvload --crash-at 40000 --crash-cluster 2
 //   kvload --strategy none --replicas 2 --crash-at 40000 --crash-cluster 2
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -52,7 +53,8 @@ void Usage() {
       "  --client-clusters L comma-separated client clusters (default: all)\n"
       "  --run-cap-us US     simulated-time cap (default 2000000000)\n"
       "  --trace FILE        save the (mark-masked) trace\n"
-      "  --stats             also print tracedump-style histograms\n"
+      "  --stats             also print tracedump-style histograms and engine\n"
+      "                      window statistics\n"
       "  --digest            print the trace digest (determinism check)\n");
 }
 
@@ -229,6 +231,14 @@ int main(int argc, char** argv) {
   std::printf("%s", report.ToString().c_str());
   if (stats) {
     std::printf("%s", AnalyzeTrace(machine.tracer()->Events()).ToString().c_str());
+    const ShardedEngine& engine = machine.sharded_engine();
+    const ShardedEngine::WindowStats& ws = engine.window_stats();
+    const double windows = static_cast<double>(std::max<uint64_t>(1, ws.windows));
+    std::printf("engine windows: %llu, events/window %.2f, busy shards/window %.2f of %u, "
+                "cross-shard posts %llu\n",
+                static_cast<unsigned long long>(ws.windows), ws.events / windows,
+                ws.shard_runs / windows, engine.num_shards(),
+                static_cast<unsigned long long>(ws.cross_posts));
   }
   if (verbose) {
     for (uint32_t s = 0; s < kv.sessions; ++s) {
