@@ -1,6 +1,8 @@
 #include "src/base/codec.h"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <utility>
 
 namespace auragen {
@@ -10,31 +12,133 @@ BufferPool& BufferPool::Get() {
   return pool;
 }
 
-Bytes BufferPool::Acquire() {
-  if (free_.empty()) {
-    return Bytes{};
+Bytes BufferPool::Acquire(size_t size_hint) {
+  const size_t want = size_hint == 0 ? kUnknownSize : size_hint;
+  // A fresh buffer gets the whole allocator granule `want` lands in (16
+  // bytes, less the allocator's 8-byte header): the same memory, and it
+  // then fits every request of that granule.
+  const size_t granule = ((want + 8 + 15) & ~size_t{15}) - 8;
+  const int c = std::clamp(static_cast<int>(std::bit_width(granule)) - 1, kMinClass, kMaxClass);
+  if (size_hint == 0) {
+    // Unknown length (an encoder): the smallest pooled buffer that holds a
+    // short message. Encoder output is transmitted and released, never
+    // queued, so a roomy buffer costs nothing.
+    for (int k = c; k <= kMaxClass; ++k) {
+      if (!free_[k].empty()) {
+        return Take(k, free_[k].size() - 1);
+      }
+    }
+  } else {
+    // The most recently pooled buffer of the class that holds `want`.
+    std::vector<Bytes>& list = free_[c];
+    const size_t scan_end = list.size() > kScan ? list.size() - kScan : 0;
+    for (size_t i = list.size(); i-- > scan_end;) {
+      if (list[i].capacity() >= want) {
+        return Take(c, i);
+      }
+    }
   }
-  Bytes b = std::move(free_.back());
-  free_.pop_back();
+  ++fresh_;
+  Bytes b;
+  b.reserve(granule);
+  return b;
+}
+
+Bytes BufferPool::Take(int c, size_t i) {
+  std::vector<Bytes>& list = free_[c];
+  Bytes b = std::move(list[i]);
+  list.erase(list.begin() + static_cast<std::ptrdiff_t>(i));
+  class_bytes_[c] -= b.capacity();
   b.clear();  // capacity retained
   ++reuses_;
   return b;
 }
 
 void BufferPool::Release(Bytes&& buf) {
-  if (free_.size() >= kMaxFree || buf.capacity() == 0 ||
-      buf.capacity() > kMaxPooledCapacity) {
+  const size_t cap = buf.capacity();
+  const int c = std::bit_width(cap) - 1;  // capacity in [2^c, 2^(c+1))
+  if (c < kMinClass || c > kMaxClass || class_bytes_[c] + cap > kMaxClassBytes) {
     return;  // let the allocator have it
   }
+  class_bytes_[c] += cap;
+  free_[c].push_back(std::move(buf));
   ++releases_;
-  free_.push_back(std::move(buf));
 }
 
+size_t BufferPool::pooled() const {
+  size_t n = 0;
+  for (const std::vector<Bytes>& list : free_) {
+    n += list.size();
+  }
+  return n;
+}
+
+namespace {
+
+// A payload whose destructor hands its storage to the pool.
+struct PooledPayload : Bytes {
+  explicit PooledPayload(Bytes&& bytes) : Bytes(std::move(bytes)) {}
+  ~PooledPayload() { BufferPool::Get().Release(std::move(static_cast<Bytes&>(*this))); }
+};
+
+// allocate_shared places a PooledPayload next to its reference count in one
+// node; this allocator recycles those nodes through a bounded thread-local
+// free list, as BufferPool recycles the byte storage.
+class PayloadNodes {
+ public:
+  static PayloadNodes& Get() {
+    static thread_local PayloadNodes nodes;
+    return nodes;
+  }
+  ~PayloadNodes() {
+    for (void* p : free_) {
+      ::operator delete(p);
+    }
+  }
+  void* Take(size_t size) {
+    if (size == node_size_ && !free_.empty()) {
+      void* p = free_.back();
+      free_.pop_back();
+      return p;
+    }
+    return ::operator new(size);
+  }
+  void Give(void* p, size_t size) {
+    if (node_size_ == 0) {
+      node_size_ = size;
+    }
+    if (size == node_size_ && free_.size() < kMaxFree) {
+      free_.push_back(p);
+      return;
+    }
+    ::operator delete(p);
+  }
+
+ private:
+  static constexpr size_t kMaxFree = 1024;
+  size_t node_size_ = 0;  // the one node type allocate_shared asks for
+  std::vector<void*> free_;
+};
+
+template <typename T>
+struct PayloadNodeAllocator {
+  using value_type = T;
+  PayloadNodeAllocator() = default;
+  template <typename U>
+  PayloadNodeAllocator(const PayloadNodeAllocator<U>&) {}  // NOLINT: rebinding
+  T* allocate(size_t n) { return static_cast<T*>(PayloadNodes::Get().Take(n * sizeof(T))); }
+  void deallocate(T* p, size_t n) { PayloadNodes::Get().Give(p, n * sizeof(T)); }
+  template <typename U>
+  bool operator==(const PayloadNodeAllocator<U>&) const {
+    return true;
+  }
+};
+
+}  // namespace
+
 PayloadPtr MakePayload(Bytes&& bytes) {
-  return PayloadPtr(new Bytes(std::move(bytes)), [](const Bytes* p) {
-    BufferPool::Get().Release(std::move(*const_cast<Bytes*>(p)));
-    delete p;
-  });
+  return std::allocate_shared<const PooledPayload>(PayloadNodeAllocator<PooledPayload>(),
+                                                   std::move(bytes));
 }
 
 uint64_t Fnv1a(const uint8_t* data, size_t size) {

@@ -10,7 +10,8 @@
 // Ownership model (DESIGN.md §13): encoded buffers are produced once at the
 // sender, wrapped in a shared immutable PayloadPtr by the bus, and *viewed*
 // (ByteView) everywhere else. Copying bytes is legal only at the point a
-// queue takes ownership of a message.
+// queue takes ownership of a message; that copy, like the encoders, draws
+// its buffer from the BufferPool.
 
 #ifndef AURAGEN_SRC_BASE_CODEC_H_
 #define AURAGEN_SRC_BASE_CODEC_H_
@@ -63,11 +64,12 @@ inline bool operator==(ByteView a, ByteView b) {
          (a.size() == 0 || std::memcmp(a.data(), b.data(), a.size()) == 0);
 }
 
-// Small free-list of byte buffers for the sim hot loop. Encoded payloads are
-// allocated, shipped across the bus, and dropped again thousands of times a
-// simulated second; recycling the vectors (capacity retained) keeps that
-// churn off the allocator. Correctness never depends on the pool — it only
-// changes where a buffer's storage comes from, never its contents.
+// Free-list of byte buffers for the sim hot loop. Encoded payloads are
+// allocated, shipped across the bus, queued, read and dropped again
+// thousands of times a simulated second; recycling the vectors (capacity
+// retained) keeps that churn off the allocator. Correctness never depends on
+// the pool — it only changes where a buffer's storage comes from, never its
+// contents.
 //
 // The simulation is single-threaded; the pool is thread-local so parallel
 // test shards can never race on it.
@@ -76,21 +78,48 @@ class BufferPool {
   static BufferPool& Get();
 
   // Returns an empty buffer, reusing a pooled one's capacity if available.
-  Bytes Acquire();
+  // `size_hint` is the expected length; it picks the size class, so a short
+  // message never pins a page-sized buffer in a queue. 0: unknown (sized
+  // for a message header and a short body).
+  Bytes Acquire(size_t size_hint = 0);
+  // An owned copy of `src` in a buffer drawn from the pool.
+  Bytes Copy(ByteView src) {
+    Bytes b = Acquire(src.size());
+    b.assign(src.begin(), src.end());
+    return b;
+  }
   // Donates a buffer's storage back to the pool (contents discarded).
   void Release(Bytes&& buf);
 
-  size_t pooled() const { return free_.size(); }
-  uint64_t reuses() const { return reuses_; }
-  uint64_t releases() const { return releases_; }
+  size_t pooled() const;
+  uint64_t reuses() const { return reuses_; }      // Acquire served from the pool
+  uint64_t fresh() const { return fresh_; }        // Acquire that had to allocate
+  uint64_t releases() const { return releases_; }  // Release kept by the pool
 
  private:
-  // Bounded so a burst of giant BackupCreate bodies cannot pin memory.
-  static constexpr size_t kMaxFree = 64;
-  static constexpr size_t kMaxPooledCapacity = 256 * 1024;
+  // Buffers are kept by power-of-two capacity class, 16 B to 8 KiB. A
+  // fresh buffer is allocated at the requested length, rounded to the
+  // allocator's granule; a sized acquire reuses one of the last few pooled
+  // buffers of its length's class that holds the request. Traffic repeats a
+  // few message shapes, so reuse is the rule, and a queued copy stays
+  // within the class of its length. Each class retains at most
+  // kMaxClassBytes, so buffers longer than that go back to the allocator:
+  // retained buffers fragment the heap, and peak RSS shows it.
+  static constexpr int kMinClass = 4;
+  static constexpr int kMaxClass = 12;
+  static constexpr size_t kScan = 8;
+  static constexpr size_t kMaxClassBytes = 4 * 1024;
+  // Unknown length: room for a message header and a short body, so an
+  // encoder does not regrow the buffer byte by byte.
+  static constexpr size_t kUnknownSize = 128;
 
-  std::vector<Bytes> free_;
+  // Removes free_[c][i] from the pool and hands it out, emptied.
+  Bytes Take(int c, size_t i);
+
+  std::vector<Bytes> free_[kMaxClass + 1];  // [c]: capacity in [2^c, 2^(c+1))
+  size_t class_bytes_[kMaxClass + 1] = {};
   uint64_t reuses_ = 0;
+  uint64_t fresh_ = 0;
   uint64_t releases_ = 0;
 };
 
@@ -98,8 +127,10 @@ class BufferPool {
 // readers (bus queue, per-destination deliveries, deferred executive work).
 using PayloadPtr = std::shared_ptr<const Bytes>;
 
-// Wraps an encoded buffer for zero-copy fan-out. When the last reference
-// drops, the buffer's storage returns to the BufferPool.
+// Wraps an encoded buffer for zero-copy fan-out. The wrapper and its
+// reference count share one node, recycled through a thread-local free
+// list; when the last reference drops, the buffer's storage returns to the
+// BufferPool. Steady-state frames therefore touch no allocator.
 PayloadPtr MakePayload(Bytes&& bytes);
 
 // Appends fixed-width little-endian fields and length-prefixed blobs. The
@@ -109,6 +140,8 @@ class ByteWriter {
  public:
   ByteWriter() : buf_(BufferPool::Get().Acquire()) {}
   explicit ByteWriter(Bytes initial) : buf_(std::move(initial)) {}
+  // A pooled buffer sized for about `size_hint` bytes.
+  explicit ByteWriter(size_t size_hint) : buf_(BufferPool::Get().Acquire(size_hint)) {}
 
   void U8(uint8_t v) { buf_.push_back(v); }
   void U16(uint16_t v) { AppendLe(v); }

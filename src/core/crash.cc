@@ -389,7 +389,7 @@ void Kernel::TakeOver(BackupPcb b) {
     ne.own_backup_cluster = kNoCluster;  // set below for fullbacks
     ne.opened_since_sync = false;
     if (ne.fd != kBadFd) {
-      p.fds[ne.fd] = FdBinding{ne.channel, static_cast<PeerKind>(ne.peer_kind)};
+      p.fds[ne.fd] = FdBinding{ne.channel, static_cast<PeerKind>(ne.peer_kind), {}};
     }
     if (ne.binding_tag == kBindSignalChannel) {
       p.signal_channel = ne.channel;
@@ -841,6 +841,7 @@ void Kernel::HandleServerSync(const MsgView& msg) {
       continue;
     }
     for (uint32_t i = 0; i < count && !e->queue.empty(); ++i) {
+      BufferPool::Get().Release(std::move(e->queue.front().msg.body));
       e->queue.pop_front();
       env_.metrics().backup_msgs_trimmed++;
     }

@@ -10,8 +10,10 @@
 
 namespace auragen {
 
-void Kernel::ExecEnqueue(SimTime cost, Task fn) {
-  exec_queue_.push_back(ExecItem{cost, std::move(fn)});
+void Kernel::ExecEnqueue(SimTime cost, Task&& fn) {
+  ExecItem& item = exec_queue_.emplace_back();
+  item.cost = cost;
+  item.fn = std::move(fn);
   ExecPump();
 }
 
@@ -20,15 +22,16 @@ void Kernel::ExecPump() {
     return;
   }
   exec_busy_ = true;
-  ExecItem item = std::move(exec_queue_.front());
-  exec_queue_.pop_front();
-  env_.metrics().exec_busy_us += item.cost;
+  ExecItem& item = exec_queue_.front();
+  const SimTime cost = item.cost;
+  env_.metrics().exec_busy_us += cost;
   // The running task is parked in a member rather than captured: a closure
   // holding a Task would always overflow Task's own inline buffer and force
   // a heap allocation per executive step. Only one task runs at a time
   // (exec_busy_), so the slot cannot be clobbered.
   exec_running_ = std::move(item.fn);
-  env_.engine().Schedule(item.cost, [this] {
+  exec_queue_.pop_front();
+  env_.engine().Schedule(cost, [this] {
     if (!alive_) {
       return;
     }
@@ -101,7 +104,9 @@ void Kernel::PumpTransmit() {
       Msg msg = std::move(it->msg);
       ClusterMask targets = it->targets;
       outgoing_.erase(it);
-      env_.bus().Transmit(id_, targets, msg.Encode());
+      Bytes frame = msg.Encode();
+      BufferPool::Get().Release(std::move(msg.body));
+      env_.bus().Transmit(id_, targets, std::move(frame));
       break;
     }
     PumpTransmit();
@@ -141,7 +146,8 @@ void Kernel::OnFrame(const Frame& frame) {
 void Kernel::EnqueueAtEntry(RoutingEntry& entry, const MsgView& msg) {
   QueuedMsg q;
   q.arrival_seq = next_arrival_seq_++;
-  q.msg = msg.ToOwned();  // the queue takes ownership: the one legal copy
+  q.msg = msg.ToOwned();  // the queue takes ownership: the one legal copy,
+                          // into a pooled buffer
   entry.queue.push_back(std::move(q));
 }
 

@@ -247,7 +247,7 @@ void Kernel::FinishRun(Gpid pid, BodyRun run) {
       }
       break;
     case BodyRun::Kind::kSyscall: {
-      DoSyscall(pcb, run.request);
+      DoSyscall(pcb, std::move(run.request));
       // The syscall may have been exit: re-resolve before touching the PCB.
       auto again = procs_.find(pid);
       if (again != procs_.end() && again->second->state != ProcState::kExited) {

@@ -23,6 +23,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/base/fifo.h"
 #include "src/base/task.h"
 #include "src/core/config.h"
 #include "src/core/env.h"
@@ -154,7 +155,7 @@ class Kernel : public BusEndpoint {
     Gpid held_for;  // fullback destination awaiting kBackupReady (§7.10.1)
   };
   void EnqueueOutgoing(Msg msg, ClusterMask targets);
-  void ExecEnqueue(SimTime cost, Task fn);
+  void ExecEnqueue(SimTime cost, Task&& fn);
   void ExecPump();
   void PumpTransmit();
   void DeliverLocal(const MsgView& msg);
@@ -164,11 +165,12 @@ class Kernel : public BusEndpoint {
   ClusterMask TargetsOf(const RoutingEntry& entry) const;
 
   // ---- system calls (syscalls.cc) ----
-  void DoSyscall(Pcb& pcb, const SyscallRequest& req);
+  // The request is consumed: write bodies move on into the outgoing message.
+  void DoSyscall(Pcb& pcb, SyscallRequest&& req);
   void CompleteAndReady(Pcb& pcb, int64_t rv, Bytes data = {});
   void SysOpen(Pcb& pcb, const SyscallRequest& req);
   void SysRead(Pcb& pcb, const SyscallRequest& req);
-  void SysWrite(Pcb& pcb, const SyscallRequest& req, bool wants_answer);
+  void SysWrite(Pcb& pcb, SyscallRequest& req, bool wants_answer);
   void SysFork(Pcb& pcb);
   void SysExit(Pcb& pcb, int32_t status);
   void SysBunch(Pcb& pcb, const SyscallRequest& req);
@@ -176,7 +178,7 @@ class Kernel : public BusEndpoint {
   void SysGettime(Pcb& pcb);
   void SysAlarm(Pcb& pcb, uint64_t delay_us);
   void SysClose(Pcb& pcb, Fd fd);
-  void DoNativeSyscall(Pcb& pcb, const SyscallRequest& req);
+  void DoNativeSyscall(Pcb& pcb, SyscallRequest&& req);
 
   // Attempts to satisfy a blocking read immediately or parks the process.
   void ReadOrBlock(Pcb& pcb, Fd fd, uint64_t max);
@@ -188,7 +190,9 @@ class Kernel : public BusEndpoint {
   // Consumes the head message of `entry` for `pcb` (counts the read).
   void ConsumeMessage(Pcb& pcb, RoutingEntry& entry, int64_t max, bool read_any);
   bool EntryReadable(const RoutingEntry& entry) const;
+  // The primary entry an fd is bound to, through the binding's EntryCache.
   RoutingEntry* EntryOfFd(Pcb& pcb, Fd fd);
+  RoutingEntry* EntryOf(Pcb& pcb, FdBinding& binding);
   // Lowest-arrival-seq readable entry of a process (read-any / which).
   RoutingEntry* PickReadable(Pcb& pcb, const std::vector<Fd>& fds, Fd* out_fd);
   RoutingEntry* PickReadableAny(Pcb& pcb);
@@ -319,18 +323,18 @@ class Kernel : public BusEndpoint {
   std::map<Gpid, BackupPcb> backups_;
 
   // Scheduling.
-  std::deque<Gpid> ready_;
+  Fifo<Gpid> ready_;
   uint32_t idle_workers_;
 
   // Executive processor: serialized service queue + FIFO outgoing queue.
   struct ExecItem {
-    SimTime cost;
+    SimTime cost = 0;
     Task fn;
   };
-  std::deque<ExecItem> exec_queue_;
+  Fifo<ExecItem> exec_queue_;
   bool exec_busy_ = false;
   Task exec_running_;  // the in-flight exec task (see ExecPump)
-  std::deque<OutgoingItem> outgoing_;
+  Fifo<OutgoingItem> outgoing_;
   bool transmit_enabled_ = true;
   bool transmit_pumping_ = false;
   // Crash handlers scheduled but not yet run (§7.10.1). Transmission stays

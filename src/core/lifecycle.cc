@@ -46,7 +46,7 @@ void Kernel::CreateChannelPair(Pcb& pcb, Fd fd, ChannelId channel, const ServerA
   e.binding_tag = binding_tag;
 
   if (fd != kBadFd) {
-    pcb.fds[fd] = FdBinding{channel, kind};
+    pcb.fds[fd] = FdBinding{channel, kind, {}};
   } else if (binding_tag == kBindSignalChannel) {
     pcb.signal_channel = channel;
   }

@@ -18,6 +18,7 @@
 
 #include "src/base/types.h"
 #include "src/avm/program.h"
+#include "src/core/routing.h"
 #include "src/core/wire.h"
 #include "src/kernel/body.h"
 
@@ -60,6 +61,7 @@ enum class PeerKind : uint8_t { kUserPeer = 0, kServerControl = 1, kServerFile =
 struct FdBinding {
   ChannelId channel;
   PeerKind peer = PeerKind::kUserPeer;
+  EntryCache entry;  // this fd's primary routing entry (Kernel::EntryOfFd)
 };
 
 struct Pcb {
@@ -102,6 +104,7 @@ struct Pcb {
 
   // The implicit signal channel (§7.5.2).
   ChannelId signal_channel;
+  EntryCache signal_entry;  // its primary routing entry (DeliverPendingSignal)
 
   // Descriptor table and bunch groups (§7.5.1).
   std::map<Fd, FdBinding> fds;

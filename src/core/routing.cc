@@ -1,8 +1,20 @@
 #include "src/core/routing.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace auragen {
+
+RoutingTable& RoutingTable::operator=(RoutingTable&& other) {
+  const uint64_t epoch = std::max(epoch_, other.epoch_) + 1;
+  entries_ = std::move(other.entries_);
+  index_ = std::move(other.index_);
+  by_owner_[0] = std::move(other.by_owner_[0]);
+  by_owner_[1] = std::move(other.by_owner_[1]);
+  epoch_ = epoch;
+  other.epoch_ = epoch;
+  return *this;
+}
 
 RoutingEntry& RoutingTable::Create(ChannelId channel, Gpid owner, bool backup_entry) {
   Key key{channel, owner, backup_entry};
@@ -33,6 +45,7 @@ void RoutingTable::Remove(ChannelId channel, Gpid owner, bool backup_entry) {
   if (index_.erase(key) == 0) {
     return;
   }
+  ++epoch_;
   entries_.erase(key);
   auto& owners = by_owner_[backup_entry];
   auto it = owners.find(owner);
@@ -60,6 +73,7 @@ void RoutingTable::RemoveAllOf(Gpid owner, bool backup_entry) {
   if (it == owners.end()) {
     return;
   }
+  ++epoch_;
   for (const auto& [channel, entry] : it->second) {
     const Key key{channel, owner, backup_entry};
     index_.erase(key);

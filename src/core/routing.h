@@ -16,11 +16,12 @@
 #define AURAGEN_SRC_CORE_ROUTING_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "src/base/fifo.h"
 #include "src/base/types.h"
 #include "src/core/wire.h"
 
@@ -47,7 +48,7 @@ struct RoutingEntry {
   uint8_t peer_mode = 0;      // peer's BackupMode (crash patching, §7.10.1)
   uint32_t binding_tag = 0;   // server-side meaning (e.g. tty line number)
 
-  std::deque<QueuedMsg> queue;
+  Fifo<QueuedMsg> queue;
 
   uint32_t reads_since_sync = 0;    // primary entries
   uint32_t writes_since_sync = 0;   // backup entries
@@ -60,6 +61,17 @@ struct RoutingEntry {
                                     // backup (§7.10.1 step 1)
   uint64_t writes_total = 0;        // diagnostics/metrics only
   uint64_t reads_total = 0;
+};
+
+// A routing entry remembered by its user — an fd binding, a process's
+// signal channel — so the hot syscalls skip the hashed probe. The pointer is
+// trusted only while the table's removal epoch still equals `epoch`, and
+// only for the key it was resolved under (checked against the entry itself,
+// which is alive whenever the epoch matches). A cache that misses re-probes
+// and refills; nullptr is never cached.
+struct EntryCache {
+  RoutingEntry* entry = nullptr;
+  uint64_t epoch = 0;
 };
 
 class RoutingTable {
@@ -84,18 +96,42 @@ class RoutingTable {
   };
 
   // Move-only: the indexes point into entries_' nodes, which a move carries
-  // along and a copy would not.
+  // along and a copy would not. A move bumps the removal epoch of both
+  // tables past either one's, so no cache filled before the move hits after
+  // it (Kernel::Restart replaces its table by move-assignment).
   RoutingTable() = default;
   RoutingTable(const RoutingTable&) = delete;
   RoutingTable& operator=(const RoutingTable&) = delete;
-  RoutingTable(RoutingTable&&) = default;
-  RoutingTable& operator=(RoutingTable&&) = default;
+  RoutingTable(RoutingTable&& other) { *this = std::move(other); }
+  RoutingTable& operator=(RoutingTable&& other);
 
-  // Creates an entry; replaces any stale entry under the same key.
+  // Creates an entry; replaces any stale entry under the same key. The map
+  // node is reused, so an EntryCache holding it stays valid.
   RoutingEntry& Create(ChannelId channel, Gpid owner, bool backup_entry);
 
   RoutingEntry* Find(ChannelId channel, Gpid owner, bool backup_entry);
   const RoutingEntry* Find(ChannelId channel, Gpid owner, bool backup_entry) const;
+
+  // Find through `cache`: no hashed probe when the cache holds this key's
+  // entry from the current epoch; otherwise probes and refills the cache.
+  RoutingEntry* Find(ChannelId channel, Gpid owner, bool backup_entry, EntryCache& cache) {
+    RoutingEntry* e = cache.entry;
+    if (e != nullptr && cache.epoch == epoch_ && e->channel == channel && e->owner == owner &&
+        e->backup_entry == backup_entry) {
+      return e;
+    }
+    e = Find(channel, owner, backup_entry);
+    if (e != nullptr) {
+      cache.entry = e;
+      cache.epoch = epoch_;
+    }
+    return e;
+  }
+
+  // Removal epoch: moves on every Remove/RemoveAllOf that drops an entry
+  // (and on a move of the table), never on Create or Find, and never goes
+  // back.
+  uint64_t epoch() const { return epoch_; }
 
   void Remove(ChannelId channel, Gpid owner, bool backup_entry);
 
@@ -136,6 +172,7 @@ class RoutingTable {
   std::unordered_map<Key, RoutingEntry*, KeyHash> index_;
   // EntriesOf / RemoveAllOf: by role (0 primary, 1 backup), then owner.
   std::unordered_map<Gpid, OwnerEntries> by_owner_[2];
+  uint64_t epoch_ = 1;
 };
 
 }  // namespace auragen

@@ -516,6 +516,7 @@ void Kernel::ApplySyncAtBackup(const SyncRecord& record) {
         << "backup queue shorter than primary reads: ch" << rec.channel.value << "have"
         << entry->queue.size() << "need" << rec.reads_since_sync;
     for (uint32_t i = 0; i < rec.reads_since_sync; ++i) {
+      BufferPool::Get().Release(std::move(entry->queue.front().msg.body));
       entry->queue.pop_front();
       env_.metrics().backup_msgs_trimmed++;
     }

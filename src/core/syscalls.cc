@@ -7,6 +7,7 @@
 #include "src/core/kernel.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/base/log.h"
 #include "src/kernel/avm_body.h"
@@ -36,7 +37,11 @@ RoutingEntry* Kernel::EntryOfFd(Pcb& pcb, Fd fd) {
   if (it == pcb.fds.end()) {
     return nullptr;
   }
-  return routing_.Find(it->second.channel, pcb.pid, /*backup=*/false);
+  return EntryOf(pcb, it->second);
+}
+
+RoutingEntry* Kernel::EntryOf(Pcb& pcb, FdBinding& binding) {
+  return routing_.Find(binding.channel, pcb.pid, /*backup=*/false, binding.entry);
 }
 
 bool Kernel::EntryReadable(const RoutingEntry& entry) const { return !entry.queue.empty(); }
@@ -45,7 +50,7 @@ void Kernel::CompleteAndReady(Pcb& pcb, int64_t rv, Bytes data) {
   SyscallResult res;
   res.rv = rv;
   res.data = std::move(data);
-  pcb.body->CompleteSyscall(res);
+  pcb.body->CompleteSyscall(std::move(res));
   pcb.blocked_side_effects = false;
   pcb.blocked_read_any = false;
   MakeReady(pcb);
@@ -148,10 +153,10 @@ void Kernel::ConsumeMessage(Pcb& pcb, RoutingEntry& entry, int64_t max, bool rea
   entry.reads_since_sync++;
   entry.reads_total++;
 
-  const Msg& msg = q.msg;
-  if (msg.header.kind == MsgKind::kOpenReply) {
+  const MsgHeader& header = q.msg.header;
+  if (header.kind == MsgKind::kOpenReply) {
     // Completion of a blocked open(): materialize the new channel.
-    OpenReplyBody reply = OpenReplyBody::Decode(msg.body);
+    OpenReplyBody reply = OpenReplyBody::Decode(q.msg.body);
     if (reply.status != 0) {
       CompleteAndReady(pcb, reply.status);
       return;
@@ -178,16 +183,30 @@ void Kernel::ConsumeMessage(Pcb& pcb, RoutingEntry& entry, int64_t max, bool rea
         PatchEntryAfterCrash(ne, c);
       }
     }
-    pcb.fds[fd] = FdBinding{reply.channel, static_cast<PeerKind>(reply.peer_kind)};
+    pcb.fds[fd] = FdBinding{reply.channel, static_cast<PeerKind>(reply.peer_kind), {}};
     CompleteAndReady(pcb, fd);
     return;
   }
 
-  Bytes payload = msg.body;
+  // The queue's copy of the body becomes the read result: moved, not
+  // copied, all the way into the body's pending copy-out.
+  Bytes payload = std::move(q.msg.body);
+  if (read_any) {
+    // Native read-any result: {channel, src pid, binding tag, kind, payload}.
+    ByteWriter w(8 + 8 + 4 + 1 + 4 + payload.size());
+    w.U64(header.channel.value);
+    w.U64(header.src_pid.value);
+    w.U32(entry.binding_tag);
+    w.U8(static_cast<uint8_t>(header.kind));
+    w.Blob(payload);
+    const int64_t rv = static_cast<int64_t>(payload.size());
+    BufferPool::Get().Release(std::move(payload));
+    CompleteAndReady(pcb, rv, w.Take());
+    return;
+  }
   int64_t rv_override = -1;
   bool has_rv_override = false;
-  if (!read_any &&
-      (entry.peer_kind == static_cast<uint8_t>(PeerKind::kServerControl) ||
+  if ((entry.peer_kind == static_cast<uint8_t>(PeerKind::kServerControl) ||
        entry.peer_kind == static_cast<uint8_t>(PeerKind::kServerFile)) &&
       !payload.empty()) {
     // Unwrap server reply framing so user programs see plain data/values:
@@ -196,9 +215,13 @@ void Kernel::ConsumeMessage(Pcb& pcb, RoutingEntry& entry, int64_t max, bool rea
     ReqTag tag = static_cast<ReqTag>(br.U8());
     switch (tag) {
       case ReqTag::kData:
-      case ReqTag::kTtyInput:
-        payload = br.Blob();
+      case ReqTag::kTtyInput: {
+        // The blob lies inside the payload: slide it to the front in place.
+        ByteView blob = br.BlobView();
+        std::memmove(payload.data(), blob.data(), blob.size());
+        payload.resize(blob.size());
         break;
+      }
       case ReqTag::kStatus:
         rv_override = br.I32();
         has_rv_override = true;
@@ -217,17 +240,6 @@ void Kernel::ConsumeMessage(Pcb& pcb, RoutingEntry& entry, int64_t max, bool rea
     payload.resize(static_cast<size_t>(max));
   }
   int64_t rv = has_rv_override ? rv_override : static_cast<int64_t>(payload.size());
-  if (read_any) {
-    // Native read-any result: {channel, src pid, binding tag, kind, payload}.
-    ByteWriter w;
-    w.U64(msg.header.channel.value);
-    w.U64(msg.header.src_pid.value);
-    w.U32(entry.binding_tag);
-    w.U8(static_cast<uint8_t>(msg.header.kind));
-    w.Blob(msg.body);
-    payload = w.Take();
-    rv = static_cast<int64_t>(msg.body.size());
-  }
   CompleteAndReady(pcb, rv, std::move(payload));
 }
 
@@ -293,9 +305,9 @@ void Kernel::TryCompleteBlocked(Pcb& pcb) {
 
 // ---------------------------------------------------------------- dispatch
 
-void Kernel::DoSyscall(Pcb& pcb, const SyscallRequest& req) {
+void Kernel::DoSyscall(Pcb& pcb, SyscallRequest&& req) {
   if (static_cast<uint32_t>(req.num) >= kFirstNativeSys) {
-    DoNativeSyscall(pcb, req);
+    DoNativeSyscall(pcb, std::move(req));
     return;
   }
   switch (req.num) {
@@ -409,7 +421,7 @@ void Kernel::SysClose(Pcb& pcb, Fd fd) {
     CompleteAndReady(pcb, NegErr(Errc::kBadDescriptor));
     return;
   }
-  RoutingEntry* entry = routing_.Find(it->second.channel, pcb.pid, /*backup=*/false);
+  RoutingEntry* entry = EntryOf(pcb, it->second);
   if (entry != nullptr) {
     if (!entry->closed_by_peer) {
       SendOnChannel(pcb, *entry, MsgKind::kClose, {});
@@ -444,7 +456,7 @@ void Kernel::SysRead(Pcb& pcb, const SyscallRequest& req) {
   if (it->second.peer == PeerKind::kServerFile) {
     // File-channel read: request/reply with the file server (§7.6's servers
     // answer via message, so the same answer is available to the backup).
-    RoutingEntry* entry = EntryOfFd(pcb, fd);
+    RoutingEntry* entry = EntryOf(pcb, it->second);
     if (entry == nullptr) {
       CompleteAndReady(pcb, NegErr(Errc::kBadDescriptor));
       return;
@@ -457,14 +469,14 @@ void Kernel::SysRead(Pcb& pcb, const SyscallRequest& req) {
   ReadOrBlock(pcb, fd, req.c);
 }
 
-void Kernel::SysWrite(Pcb& pcb, const SyscallRequest& req, bool wants_answer) {
+void Kernel::SysWrite(Pcb& pcb, SyscallRequest& req, bool wants_answer) {
   Fd fd = static_cast<Fd>(req.a);
   auto it = pcb.fds.find(fd);
   if (it == pcb.fds.end()) {
     CompleteAndReady(pcb, NegErr(Errc::kBadDescriptor));
     return;
   }
-  RoutingEntry* entry = EntryOfFd(pcb, fd);
+  RoutingEntry* entry = EntryOf(pcb, it->second);
   if (entry == nullptr || entry->closed_local) {
     CompleteAndReady(pcb, NegErr(Errc::kBadDescriptor));
     return;
@@ -480,23 +492,27 @@ void Kernel::SysWrite(Pcb& pcb, const SyscallRequest& req, bool wants_answer) {
     return;
   }
 
+  const int64_t written = static_cast<int64_t>(req.data.size());
+  const PeerKind peer = it->second.peer;
   Bytes payload;
-  if (it->second.peer == PeerKind::kServerFile) {
+  if (peer == PeerKind::kServerFile) {
     payload = EncodeTaggedBlob(ReqTag::kFileWrite, req.data);
-  } else if (it->second.peer == PeerKind::kServerControl && fd == 2) {
+    BufferPool::Get().Release(std::move(req.data));
+  } else if (peer == PeerKind::kServerControl && fd == 2) {
     payload = EncodeTaggedBlob(ReqTag::kTtyWrite, req.data);
+    BufferPool::Get().Release(std::move(req.data));
   } else {
-    payload = req.data;
+    payload = std::move(req.data);  // the guest's bytes become the message body
   }
   SendOnChannel(pcb, *entry, MsgKind::kUser, std::move(payload));
 
-  if (wants_answer || it->second.peer == PeerKind::kServerFile) {
+  if (wants_answer || peer == PeerKind::kServerFile) {
     // §7.5.1: writes requiring a server's answer cannot return until the
     // answer arrives.
     BlockForReply(pcb, *entry, fd);
     return;
   }
-  CompleteAndReady(pcb, static_cast<int64_t>(req.data.size()));
+  CompleteAndReady(pcb, written);
 }
 
 void Kernel::SysBunch(Pcb& pcb, const SyscallRequest& req) {
@@ -566,7 +582,8 @@ void Kernel::DeliverPendingSignal(Pcb& pcb) {
   if (pcb.in_signal || !pcb.signal_channel.valid()) {
     return;
   }
-  RoutingEntry* sig = routing_.Find(pcb.signal_channel, pcb.pid, /*backup=*/false);
+  RoutingEntry* sig =
+      routing_.Find(pcb.signal_channel, pcb.pid, /*backup=*/false, pcb.signal_entry);
   if (sig == nullptr || sig->queue.empty()) {
     return;
   }
@@ -626,7 +643,7 @@ void Kernel::DeliverPendingSignal(Pcb& pcb) {
 
 // ------------------------------------------------------- native syscalls
 
-void Kernel::DoNativeSyscall(Pcb& pcb, const SyscallRequest& req) {
+void Kernel::DoNativeSyscall(Pcb& pcb, SyscallRequest&& req) {
   if (!pcb.is_server) {
     CompleteAndReady(pcb, NegErr(Errc::kNotSupported));
     return;
@@ -653,7 +670,7 @@ void Kernel::DoNativeSyscall(Pcb& pcb, const SyscallRequest& req) {
       AURAGEN_CHECK(pcb.peripheral) << "disk access from non-peripheral server";
       pcb.state = ProcState::kBlockedDevice;
       Gpid pid = pcb.pid;
-      env_.DiskWrite(pcb.pid, static_cast<BlockNum>(req.a), req.data,
+      env_.DiskWrite(pcb.pid, static_cast<BlockNum>(req.a), std::move(req.data),
                      [this, pid](Result<void> r) {
                        Pcb* p = FindProcess(pid);
                        if (p == nullptr || p->state != ProcState::kBlockedDevice) {
@@ -729,7 +746,8 @@ void Kernel::DoNativeSyscall(Pcb& pcb, const SyscallRequest& req) {
       } else if (req.a == 3) {
         kind = MsgKind::kPageReply;
       }
-      Bytes payload = req.data;
+      const int64_t written = static_cast<int64_t>(req.data.size());
+      Bytes payload = std::move(req.data);
       if (kind == MsgKind::kOpenReply) {
         // A server that took over a parked peripheral learned its own backup
         // location at boot, when it had none; replies naming the server as
@@ -743,8 +761,8 @@ void Kernel::DoNativeSyscall(Pcb& pcb, const SyscallRequest& req) {
         }
       }
       // req.c != 0: device-input-driven send; see SendOnChannel on counting.
-      SendOnChannel(pcb, *entry, kind, payload, /*counted=*/req.c == 0);
-      CompleteAndReady(pcb, static_cast<int64_t>(req.data.size()));
+      SendOnChannel(pcb, *entry, kind, std::move(payload), /*counted=*/req.c == 0);
+      CompleteAndReady(pcb, written);
       break;
     }
     case NativeSys::kSetTimer: {

@@ -49,7 +49,7 @@ MsgHeader MsgHeader::Deserialize(ByteReader& r) {
 }
 
 Bytes Msg::Encode() const {
-  ByteWriter w;
+  ByteWriter w(MsgHeader::kWireBytes + 4 + body.size());  // header + blob
   header.Serialize(w);
   w.Blob(body);
   return w.Take();
@@ -66,7 +66,7 @@ Msg Msg::Decode(ByteView frame_payload) {
 Msg MsgView::ToOwned() const {
   Msg m;
   m.header = header;
-  m.body = body().ToBytes();
+  m.body = BufferPool::Get().Copy(body());
   return m;
 }
 
@@ -281,7 +281,7 @@ OpenReplyBody OpenReplyBody::Decode(ByteView body) {
 }
 
 Bytes PageWriteBody::Encode() const {
-  ByteWriter w;
+  ByteWriter w(8 + 4 + 4 + content.size());  // pid, page, blob length, blob
   w.U64(pid.value);
   w.U32(page);
   w.Blob(content);

@@ -69,6 +69,8 @@ struct MsgHeader {
   ClusterId dst_backup_cluster = kNoCluster;
   ClusterId src_backup_cluster = kNoCluster;
 
+  static constexpr size_t kWireBytes = 1 + 3 * 8 + 3 * 4;  // Serialize's output
+
   void Serialize(ByteWriter& w) const;
   static MsgHeader Deserialize(ByteReader& r);
 };
@@ -96,7 +98,8 @@ struct MsgView {
 
   ByteView body() const { return ByteView(payload->data() + body_off, body_len); }
 
-  // The single legal copy point: materializes an owned Msg for a queue.
+  // The single legal copy point: materializes an owned Msg for a queue,
+  // its body in a buffer drawn from the BufferPool.
   Msg ToOwned() const;
 
   static MsgView Parse(const PayloadPtr& frame_payload);

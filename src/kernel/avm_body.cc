@@ -34,6 +34,7 @@ BodyRun AvmBody::Run(uint64_t budget) {
         return r;
       }
     }
+    BufferPool::Get().Release(std::move(pending_copy_->data));
     pending_copy_.reset();
   }
 
@@ -45,7 +46,7 @@ BodyRun AvmBody::Run(uint64_t budget) {
       work += kSyscallWork;
       std::optional<BodyRun> run = MaterializeSyscall(step.sys_num, work);
       if (run.has_value()) {
-        return *run;
+        return std::move(*run);
       }
       // Argument copy faulted: pc was rewound to re-trap; report the fault.
       BodyRun r;
@@ -94,6 +95,7 @@ std::optional<BodyRun> AvmBody::MaterializeSyscall(uint32_t sys_num, uint64_t wo
   req.c = ctx_.regs[3];
 
   auto read_guest = [&](uint32_t addr, uint64_t len) -> bool {
+    req.data = BufferPool::Get().Acquire(len <= kAvmMemBytes ? len : 0);
     // A length past the address space cannot fit anywhere; checking it
     // before narrowing keeps huge counts from wrapping into short reads.
     GuestMemory::Access a = len > kAvmMemBytes
@@ -150,16 +152,19 @@ std::optional<BodyRun> AvmBody::MaterializeSyscall(uint32_t sys_num, uint64_t wo
   return run;
 }
 
-void AvmBody::CompleteSyscall(const SyscallResult& result) {
+void AvmBody::CompleteSyscall(SyscallResult result) {
   AURAGEN_CHECK(awaiting_completion_) << "CompleteSyscall without pending syscall";
   awaiting_completion_ = false;
   ctx_.regs[0] = static_cast<uint32_t>(result.rv);
   if (!result.data.empty()) {
-    // Defer the copy into guest memory; Run applies (and can fault/retry).
+    // Defer the copy into guest memory; Run applies (and can fault/retry)
+    // and then hands the buffer back to the pool.
     PendingCopy copy;
     copy.addr = ctx_.regs[2];  // read(fd, buf, max): r2 = buf
-    copy.data = result.data;
+    copy.data = std::move(result.data);
     pending_copy_ = std::move(copy);
+  } else {
+    BufferPool::Get().Release(std::move(result.data));
   }
 }
 

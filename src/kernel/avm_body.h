@@ -24,7 +24,7 @@ class AvmBody : public Body {
   explicit AvmBody(const Executable& exe);
 
   BodyRun Run(uint64_t budget) override;
-  void CompleteSyscall(const SyscallResult& result) override;
+  void CompleteSyscall(SyscallResult result) override;
 
   bool SyncReady() const override { return !pending_copy_.has_value(); }
   // When blocked in a read/which (awaiting_completion_), the captured pc is

@@ -69,8 +69,9 @@ class Body {
 
   // Delivers the result of the pending syscall. Side effects that can page-
   // fault (copying read data into guest memory) are deferred into the next
-  // Run so faults retry uniformly.
-  virtual void CompleteSyscall(const SyscallResult& result) = 0;
+  // Run so faults retry uniformly. The result is taken by value so its data
+  // buffer moves in rather than being copied.
+  virtual void CompleteSyscall(SyscallResult result) = 0;
 
   // --- state capture (what the sync message carries, §7.8) ---
   // True when the body is at a capturable point: quiescent, or parked in a

@@ -83,18 +83,30 @@ BodyRun NativeBody::Run(uint64_t budget) {
     run.exit_status = static_cast<int32_t>(req.a);
     return run;
   }
+  // The consumed result's buffer goes back to the pool.
+  BufferPool::Get().Release(std::move(prev.data));
   run.kind = BodyRun::Kind::kSyscall;
-  run.request = req;
-  pending_ = std::move(req);
+  // pending_ keeps what CaptureContext and a restore re-issue need: the
+  // whole request for a blocking read/which, the arguments alone for
+  // anything else (its data moves on to the kernel).
+  SyscallRequest& pending = pending_.emplace();
+  pending.num = req.num;
+  pending.a = req.a;
+  pending.b = req.b;
+  pending.c = req.c;
+  if (req.num == Sys::kRead || req.num == Sys::kWhich) {
+    pending.data = req.data;
+  }
+  run.request = std::move(req);
   awaiting_completion_ = true;
   return run;
 }
 
-void NativeBody::CompleteSyscall(const SyscallResult& result) {
+void NativeBody::CompleteSyscall(SyscallResult result) {
   AURAGEN_CHECK(awaiting_completion_);
   awaiting_completion_ = false;
   pending_.reset();
-  last_result_ = result;
+  last_result_ = std::move(result);
   have_result_ = true;
 }
 

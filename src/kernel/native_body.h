@@ -131,7 +131,7 @@ class NativeBody : public Body {
   NativeBody(std::unique_ptr<NativeProgram> program, bool paged_ft);
 
   BodyRun Run(uint64_t budget) override;
-  void CompleteSyscall(const SyscallResult& result) override;
+  void CompleteSyscall(SyscallResult result) override;
 
   bool SyncReady() const override { return !have_result_; }
   Bytes CaptureContext() const override;

@@ -1,5 +1,6 @@
 #include "src/paging/page_server.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/core/wire.h"
@@ -23,7 +24,7 @@ SyscallRequest ReadAnyRequest() {
 }  // namespace
 
 PageServerProgram::PageServerProgram(PageServerOptions options)
-    : options_(options), next_block_(options.first_block) {}
+    : options_(options), refcount_(options.num_blocks, 0), next_block_(options.first_block) {}
 
 BlockNum PageServerProgram::Alloc() {
   if (!free_list_.empty()) {
@@ -35,35 +36,66 @@ BlockNum PageServerProgram::Alloc() {
   return next_block_++;
 }
 
+void PageServerProgram::Retain(BlockNum block) {
+  AURAGEN_CHECK(block < refcount_.size()) << "block past the page store" << block;
+  if (refcount_[block]++ == 0) {
+    ++blocks_in_use_;
+  }
+}
+
 void PageServerProgram::Release(BlockNum block) {
-  auto it = refcount_.find(block);
-  AURAGEN_CHECK(it != refcount_.end()) << "release of untracked block" << block;
-  if (--it->second == 0) {
-    refcount_.erase(it);
+  AURAGEN_CHECK(block < refcount_.size() && refcount_[block] != 0)
+      << "release of untracked block" << block;
+  if (--refcount_[block] == 0) {
+    --blocks_in_use_;
     free_list_.push_back(block);
   }
 }
 
 void PageServerProgram::InstallWrite(Gpid pid, PageNum page, BlockNum block) {
   Account& acct = primary_[pid];
-  if (auto it = acct.pages.find(page); it != acct.pages.end()) {
+  auto [it, inserted] = acct.pages.try_emplace(page, block);
+  if (!inserted) {
     Release(it->second);
+    it->second = block;
   }
-  acct.pages[page] = block;
-  refcount_[block]++;
+  acct.touched.push_back(page);
+  Retain(block);
 }
 
 void PageServerProgram::CopyAccounts(Gpid pid) {
   // §7.8: "make the backup's account identical to that of the primary.
   // After a sync, only one copy of each page will exist."
   Account& b = backup_[pid];
-  for (const auto& [page, block] : b.pages) {
-    Release(block);
+  Account& p = primary_[pid];
+  if (full_copy_.erase(pid) != 0) {
+    for (const auto& [page, block] : b.pages) {
+      Release(block);
+    }
+    b.pages = p.pages;
+    for (const auto& [page, block] : b.pages) {
+      Retain(block);
+    }
+    p.touched.clear();
+    return;
   }
-  b = primary_[pid];
-  for (const auto& [page, block] : b.pages) {
-    refcount_[block]++;
+  // Only the touched pages differ. Visiting them in ascending page order
+  // frees the replaced backup blocks in the order a full copy would (a
+  // full copy's release pass frees exactly these blocks: every untouched
+  // page's block is still held by the primary), so the free list, and
+  // every later block number, comes out the same.
+  std::sort(p.touched.begin(), p.touched.end());
+  p.touched.erase(std::unique(p.touched.begin(), p.touched.end()), p.touched.end());
+  for (PageNum page : p.touched) {
+    const BlockNum block = p.pages.at(page);
+    auto [it, inserted] = b.pages.try_emplace(page, block);
+    if (!inserted) {
+      Release(it->second);
+      it->second = block;
+    }
+    Retain(block);
   }
+  p.touched.clear();
 }
 
 void PageServerProgram::DropAccounts(Gpid pid) {
@@ -332,11 +364,14 @@ void PageServerProgram::RestoreState(ByteReader& r) {
   };
   get_accounts(primary_);
   get_accounts(backup_);
-  refcount_.clear();
+  refcount_.assign(options_.num_blocks, 0);
+  blocks_in_use_ = 0;
+  full_copy_.clear();
   for (const auto* accounts : {&primary_, &backup_}) {
     for (const auto& [pid, acct] : *accounts) {
+      full_copy_.insert(pid);
       for (const auto& [page, block] : acct.pages) {
-        refcount_[block]++;
+        Retain(block);
       }
     }
   }

@@ -19,11 +19,19 @@
 // contents live on the dual-ported mirrored disk; the explicit ServerSync
 // carries only a compact operation log (allocations and account copies),
 // and the backup instance replays untrimmed request messages on takeover.
+//
+// Accounts are never dropped: the op log can carry a drop (PsOp::kDrop, and
+// the backup instance applies it), but nothing emits one, because no
+// message tells the server that a process exited. The accounts of exited
+// processes, and their blocks, therefore stay until the machine ends.
+// Fixing that needs a new exit message to the server, which would change
+// every trace digest.
 
 #ifndef AURAGEN_SRC_PAGING_PAGE_SERVER_H_
 #define AURAGEN_SRC_PAGING_PAGE_SERVER_H_
 
 #include <map>
+#include <set>
 #include <vector>
 
 #include "src/kernel/native_body.h"
@@ -56,7 +64,7 @@ class PageServerProgram : public NativeProgram {
   size_t NumAccounts() const { return primary_.size(); }
   bool BackupHasPage(Gpid pid, PageNum page) const;
   bool PrimaryHasPage(Gpid pid, PageNum page) const;
-  uint64_t blocks_in_use() const { return refcount_.size(); }
+  uint64_t blocks_in_use() const { return blocks_in_use_; }
 
  private:
   enum class Mode : uint8_t {
@@ -70,11 +78,16 @@ class PageServerProgram : public NativeProgram {
 
   struct Account {
     std::map<PageNum, BlockNum> pages;
+    // Primary accounts: pages InstallWrite replaced since this process's
+    // last account copy (unsorted, may repeat). Every other page of the
+    // primary account already sits, with the same block, in the backup.
+    std::vector<PageNum> touched;
   };
 
   SyscallRequest ReadAny();
   SyscallRequest AfterService();
   BlockNum Alloc();
+  void Retain(BlockNum block);
   void Release(BlockNum block);
   void InstallWrite(Gpid pid, PageNum page, BlockNum block);
   void CopyAccounts(Gpid pid);
@@ -85,7 +98,11 @@ class PageServerProgram : public NativeProgram {
 
   std::map<Gpid, Account> primary_;
   std::map<Gpid, Account> backup_;
-  std::map<BlockNum, uint32_t> refcount_;
+  std::vector<uint32_t> refcount_;  // by block; sized by num_blocks
+  uint64_t blocks_in_use_ = 0;      // blocks with a nonzero refcount
+  // Processes whose accounts came from RestoreState: no touched list covers
+  // their differences, so their next copy is a full one.
+  std::set<Gpid> full_copy_;
   std::vector<BlockNum> free_list_;
   BlockNum next_block_;
 

@@ -16,11 +16,7 @@ Engine::~Engine() {
   }
 }
 
-EventId Engine::Schedule(SimTime delay, Task fn) {
-  return ScheduleAt(now_ + delay, std::move(fn));
-}
-
-EventId Engine::ScheduleAt(SimTime when, Task fn) {
+EventId Engine::ScheduleAt(SimTime when, Task&& fn) {
   AURAGEN_CHECK(when >= now_) << "scheduling into the past:" << when << "<" << now_;
   uint32_t slot;
   if (!free_slots_.empty()) {
@@ -29,7 +25,7 @@ EventId Engine::ScheduleAt(SimTime when, Task fn) {
     slots_[slot].task = std::move(fn);
   } else {
     slot = static_cast<uint32_t>(slots_.size());
-    slots_.push_back(Slot{std::move(fn), 1});
+    slots_.emplace_back().task = std::move(fn);
   }
   queue_.push(Event{when, next_seq_++, slot, slots_[slot].gen});
   ++live_events_;

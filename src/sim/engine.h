@@ -54,11 +54,13 @@ class Engine {
 
   // Schedules `fn` to run at Now() + delay. Returns an id usable with
   // Cancel(). Callbacks may schedule further events freely. Task keeps hot
-  // closures (delivery frames, message views) inline — no heap per event.
-  EventId Schedule(SimTime delay, Task fn);
+  // closures (delivery frames, message views) inline — no heap per event —
+  // and is taken by rvalue reference: a closure is built once at the call
+  // site, moved once into its slot and once out of it at dispatch.
+  EventId Schedule(SimTime delay, Task&& fn) { return ScheduleAt(now_ + delay, std::move(fn)); }
 
   // Schedules at an absolute time (>= Now()).
-  EventId ScheduleAt(SimTime when, Task fn);
+  EventId ScheduleAt(SimTime when, Task&& fn);
 
   // Cancels a pending event. Cancelling an already-fired or unknown id is a
   // no-op (the common pattern: timers that usually fire). O(1): the slot's

@@ -54,7 +54,7 @@ ShardId ShardedEngine::CurrentShard() const {
   return tl_engine == this ? tl_shard : kNoShard;
 }
 
-EventId ShardedEngine::ScheduleOn(ShardId shard, SimTime delay, Task fn) {
+EventId ShardedEngine::ScheduleOn(ShardId shard, SimTime delay, Task&& fn) {
   AURAGEN_CHECK(shard < shards_.size());
   SimTime base;
   if (tl_engine == this) {
@@ -65,7 +65,7 @@ EventId ShardedEngine::ScheduleOn(ShardId shard, SimTime delay, Task fn) {
   return ScheduleAtOn(shard, base + delay, std::move(fn));
 }
 
-EventId ShardedEngine::ScheduleAtOn(ShardId shard, SimTime when, Task fn) {
+EventId ShardedEngine::ScheduleAtOn(ShardId shard, SimTime when, Task&& fn) {
   AURAGEN_CHECK(shard < shards_.size());
   if (tl_engine == this && tl_shard != shard) {
     // Cross-shard schedule from inside a window: the conservative contract.
@@ -76,7 +76,7 @@ EventId ShardedEngine::ScheduleAtOn(ShardId shard, SimTime when, Task fn) {
         << "cross-shard schedule violates the lookahead contract: shard " << tl_shard
         << " -> " << shard << " at t=" << when << " inside window ending "
         << active_window_end_ << " (model latency must be >= lookahead)";
-    shards_[tl_shard]->outbox.push_back(CrossPost{shard, when, std::move(fn)});
+    shards_[tl_shard]->outbox.emplace_back(shard, when, std::move(fn));
     // The destination id is assigned at the barrier drain; handles are only
     // valid for same-shard cancellation anyway, so none is returned.
     return kNoEvent;

@@ -114,8 +114,10 @@ class ShardedEngine {
   // unrestricted; cross-shard schedules must land at or after the current
   // window's end (model latency >= lookahead guarantees this). From outside
   // Run(), any shard and any time >= Now() is legal.
-  EventId ScheduleOn(ShardId shard, SimTime delay, Task fn);
-  EventId ScheduleAtOn(ShardId shard, SimTime when, Task fn);
+  // The closure is taken by rvalue reference and moved only into its final
+  // home (the shard's slot, or this window's outbox).
+  EventId ScheduleOn(ShardId shard, SimTime delay, Task&& fn);
+  EventId ScheduleAtOn(ShardId shard, SimTime when, Task&& fn);
 
   // Cancels a pending event on `shard`. Inside a callback only the current
   // shard's events may be cancelled (a cross-shard cancel would race).

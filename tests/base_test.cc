@@ -174,19 +174,54 @@ TEST(BufferPool, RecyclesCapacityThroughPayloads) {
   uint64_t reuses0 = pool.reuses();
   const uint8_t* data0;
   {
-    Bytes b = pool.Acquire();
+    Bytes b = pool.Acquire(1000);
     b.assign(1000, 42);
     data0 = b.data();
     PayloadPtr p = MakePayload(std::move(b));
     EXPECT_EQ(p->size(), 1000u);
     // Dropping the last reference returns the buffer to the pool.
   }
-  Bytes again = pool.Acquire();
-  EXPECT_EQ(pool.reuses(), reuses0 + 1);
+  // A message-sized acquire does not take the page-sized buffer.
+  Bytes small = pool.Acquire(40);
+  EXPECT_NE(small.data(), data0);
+  Bytes again = pool.Acquire(1000);
   EXPECT_TRUE(again.empty());          // cleared, but capacity retained
   EXPECT_GE(again.capacity(), 1000u);
   EXPECT_EQ(again.data(), data0);      // the very same allocation came back
+  EXPECT_GE(pool.reuses(), reuses0 + 1);
   pool.Release(std::move(again));
+  pool.Release(std::move(small));
+}
+
+TEST(BufferPool, CountsFreshAcquisitionsAndStaysBounded) {
+  BufferPool& pool = BufferPool::Get();
+  // Every acquire is either a reuse or a fresh allocation; holding
+  // buffers of one size drains their class, after which acquires allocate.
+  std::vector<Bytes> held;
+  uint64_t fresh0 = pool.fresh();
+  for (int i = 0; i < 5000 && pool.fresh() == fresh0; ++i) {
+    const uint64_t total = pool.reuses() + pool.fresh();
+    held.push_back(pool.Acquire(40));
+    EXPECT_EQ(pool.reuses() + pool.fresh(), total + 1);
+    EXPECT_GE(held.back().capacity(), 40u);
+  }
+  EXPECT_EQ(pool.fresh(), fresh0 + 1);
+  // Releasing far more buffers than the pool keeps leaves it bounded.
+  const size_t pooled0 = pool.pooled();
+  for (int i = 0; i < 5000; ++i) {
+    Bytes x;
+    x.reserve(i % 2 == 0 ? 64 : 4096);
+    pool.Release(std::move(x));
+  }
+  EXPECT_LT(pool.pooled() - pooled0, 2500u);
+  const uint64_t releases0 = pool.releases();
+  Bytes too_big;
+  too_big.reserve(1 << 20);
+  pool.Release(std::move(too_big));  // larger than any pooled buffer may be
+  EXPECT_EQ(pool.releases(), releases0);
+  for (Bytes& b : held) {
+    pool.Release(std::move(b));
+  }
 }
 
 TEST(BufferPool, WriterDrawsFromThePool) {

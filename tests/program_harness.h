@@ -24,6 +24,12 @@ class ProgramHarness {
   // Emulates NativeBody's post-restore entry: the restored program's first
   // Next() call arrives with first=false (it is not a fresh start).
   void MarkRestored() { first_ = false; }
+  // As MarkRestored, for a program restored while parked in read-any: the
+  // kernel re-issues that read, so the next Deliver() completes it.
+  void MarkRestoredInRead() {
+    first_ = false;
+    pending_read_ = true;
+  }
 
   struct Sent {
     uint64_t channel = 0;

@@ -173,6 +173,83 @@ TEST(RoutingTable, IndexesMatchOrderedModelUnderRandomChurn) {
   check();
 }
 
+TEST(RoutingTable, EpochMovesOnRemovalOnly) {
+  RoutingTable table;
+  const uint64_t e0 = table.epoch();
+  table.Create(kCh1, kA, false);
+  table.Create(kCh2, kA, false);
+  table.Create(kCh1, kA, true);
+  table.Create(kCh1, kA, false);  // replaces in place
+  EXPECT_NE(table.Find(kCh1, kA, false), nullptr);
+  EXPECT_EQ(table.Find(kCh2, kB, false), nullptr);
+  EXPECT_EQ(table.epoch(), e0);
+
+  table.Remove(kCh2, kB, false);  // nothing there: nothing dropped
+  EXPECT_EQ(table.epoch(), e0);
+  table.Remove(kCh2, kA, false);
+  const uint64_t e1 = table.epoch();
+  EXPECT_GT(e1, e0);
+  table.RemoveAllOf(kA, true);
+  const uint64_t e2 = table.epoch();
+  EXPECT_GT(e2, e1);
+  table.Create(kCh2, kA, false);
+  EXPECT_EQ(table.epoch(), e2);
+
+  // Never back, across moves either (Kernel::Restart move-assigns a fresh
+  // table over the old one).
+  table = RoutingTable();
+  const uint64_t e3 = table.epoch();
+  EXPECT_GT(e3, e2);
+  RoutingTable moved = std::move(table);
+  EXPECT_GT(moved.epoch(), e3);
+  RoutingTable fresh;
+  fresh = std::move(moved);
+  EXPECT_GT(fresh.epoch(), e3);
+}
+
+TEST(RoutingTable, CachedFindAgreesWithFindUnderRandomChurn) {
+  RoutingTable table;
+  Rng rng(4242);
+  const std::vector<Gpid> owners = {Gpid::Make(0, 1), Gpid::Make(0, 2), Gpid::Make(2, 5)};
+  constexpr uint64_t kChannels = 6;
+  // One cache per (channel, owner, role), as fd bindings and signal
+  // entries hold them, plus one cache shared by every key (a binding copied
+  // to another owner).
+  std::map<std::tuple<uint64_t, uint64_t, bool>, EntryCache> caches;
+  EntryCache shared;
+  for (int step = 0; step < 4000; ++step) {
+    const ChannelId ch{rng.Range(1, kChannels)};
+    const Gpid owner = owners[rng.Below(owners.size())];
+    const bool backup = rng.Chance(0.5);
+    const uint64_t dice = rng.Below(10);
+    if (dice < 4) {
+      table.Create(ch, owner, backup).writes_total = static_cast<uint64_t>(step);
+    } else if (dice < 7) {
+      table.Remove(ch, owner, backup);
+    } else if (dice < 8) {
+      table.RemoveAllOf(owner, backup);
+    } else if (dice < 9) {
+      table = RoutingTable();
+    }
+    // Probe a few keys through their caches.
+    for (int probe = 0; probe < 4; ++probe) {
+      const ChannelId pch{rng.Range(1, kChannels)};
+      const Gpid powner = owners[rng.Below(owners.size())];
+      const bool pbackup = rng.Chance(0.5);
+      RoutingEntry* want = table.Find(pch, powner, pbackup);
+      EntryCache& cache = caches[{pch.value, powner.value, pbackup}];
+      ASSERT_EQ(table.Find(pch, powner, pbackup, cache), want) << "step " << step;
+      ASSERT_EQ(table.Find(pch, powner, pbackup, shared), want) << "step " << step;
+      if (want == nullptr) {
+        continue;
+      }
+      // A hit returns the entry itself.
+      ASSERT_EQ(table.Find(pch, powner, pbackup, cache), want);
+      ASSERT_EQ(cache.entry, want);
+    }
+  }
+}
+
 // ----------------------------- NativeBody page-diff sync (system servers)
 
 class CounterProgram : public NativeProgram {

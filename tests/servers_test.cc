@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <tuple>
+#include <vector>
+
+#include "src/base/rng.h"
 #include "src/paging/page_server.h"
 #include "src/servers/file_server.h"
 #include "src/servers/process_server.h"
@@ -119,6 +124,147 @@ TEST(PageServer, ServerSyncOpsReplayRebuildsMirror) {
   EXPECT_TRUE(backup.PrimaryHasPage(kUser, 1));
   EXPECT_TRUE(backup.BackupHasPage(kUser, 2));
   EXPECT_EQ(backup.blocks_in_use(), primary.blocks_in_use());
+}
+
+// Test-local model of the page server's accounts with a full account copy
+// at every sync: the reference the incremental copy must reproduce.
+struct PageStoreModel {
+  explicit PageStoreModel(BlockNum first_block) : next_block(first_block) {}
+  BlockNum Alloc() {
+    if (!free_list.empty()) {
+      BlockNum b = free_list.back();
+      free_list.pop_back();
+      return b;
+    }
+    return next_block++;
+  }
+  void Release(BlockNum block) {
+    if (--refcount[block] == 0) {
+      refcount.erase(block);
+      free_list.push_back(block);
+    }
+  }
+  BlockNum Write(Gpid pid, PageNum page) {
+    const BlockNum block = Alloc();
+    auto& acct = primary[pid.value];
+    if (auto it = acct.find(page); it != acct.end()) {
+      Release(it->second);
+    }
+    acct[page] = block;
+    refcount[block]++;
+    return block;
+  }
+  void Sync(Gpid pid) {
+    auto& b = backup[pid.value];
+    for (const auto& [page, block] : b) {
+      Release(block);
+    }
+    b = primary[pid.value];
+    for (const auto& [page, block] : b) {
+      refcount[block]++;
+    }
+  }
+  bool Has(const std::map<uint64_t, std::map<PageNum, BlockNum>>& accounts, Gpid pid,
+           PageNum page) const {
+    auto it = accounts.find(pid.value);
+    return it != accounts.end() && it->second.count(page) != 0;
+  }
+
+  std::map<uint64_t, std::map<PageNum, BlockNum>> primary;
+  std::map<uint64_t, std::map<PageNum, BlockNum>> backup;
+  std::map<BlockNum, uint32_t> refcount;
+  std::vector<BlockNum> free_list;
+  BlockNum next_block;
+};
+
+TEST(PageServer, IncrementalCopyMatchesFullCopyModel) {
+  const std::vector<Gpid> pids = {Gpid::Make(1, 40), Gpid::Make(2, 41), Gpid::Make(3, 42)};
+  constexpr PageNum kPages = 10;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed * 7919);
+    PageServerOptions options;
+    options.sync_every_ops = 4;
+    auto ps = std::make_unique<PageServerProgram>(options);
+    auto h = std::make_unique<ProgramHarness>(*ps);
+    h->Drain();  // parked in read-any
+    PageStoreModel model(options.first_block);
+    // The op log the server must ship: (op, pid, page, block).
+    std::vector<std::tuple<uint8_t, uint64_t, uint32_t, uint32_t>> want_ops;
+    std::vector<std::tuple<uint8_t, uint64_t, uint32_t, uint32_t>> got_ops;
+    size_t syncs_seen = 0;
+    auto collect_ops = [&] {
+      for (; syncs_seen < h->server_syncs.size(); ++syncs_seen) {
+        ByteReader r(h->server_syncs[syncs_seen]);
+        ServerSyncPrefix::Deserialize(r);
+        Bytes ops = r.Blob();
+        ByteReader o(ops);
+        while (!o.done()) {
+          const uint8_t op = o.U8();
+          const uint64_t pid = o.U64();
+          uint32_t page = 0;
+          uint32_t block = 0;
+          if (op == 1) {
+            page = o.U32();
+            block = o.U32();
+          }
+          got_ops.emplace_back(op, pid, page, block);
+        }
+      }
+    };
+    for (int step = 0; step < 400; ++step) {
+      const Gpid pid = pids[rng.Below(pids.size())];
+      const uint64_t dice = rng.Below(20);
+      if (dice < 12) {
+        const PageNum page = static_cast<PageNum>(rng.Below(kPages));
+        PageWriteBody body;
+        body.pid = pid;
+        body.page = page;
+        body.content = Bytes(kAvmPageBytes, 0);
+        body.content[0] = static_cast<uint8_t>(step);
+        body.content[1] = static_cast<uint8_t>(step >> 8);
+        h->Push(kChan, kUser, kBindPageChannel, MsgKind::kPageWrite, body.Encode());
+        h->Deliver();
+        const BlockNum block = model.Write(pid, page);
+        want_ops.emplace_back(1, pid.value, page, block);
+        // The server wrote this page's content to the model's block.
+        ASSERT_EQ(h->disk.count(block), 1u) << "step " << step;
+        EXPECT_EQ(h->disk[block][0] | (h->disk[block][1] << 8), step & 0xffff);
+      } else if (dice < 18) {
+        h->Push(kChan, kUser, kBindPageChannel, MsgKind::kSync, SyncMsg(pid));
+        h->Deliver();
+        model.Sync(pid);
+        want_ops.emplace_back(2, pid.value, 0, 0);
+      } else {
+        // Serialize -> restore: the restored server carries on.
+        collect_ops();
+        ByteWriter w;
+        ps->SerializeState(w);
+        auto restored = std::make_unique<PageServerProgram>(options);
+        ByteReader r(w.bytes());
+        restored->RestoreState(r);
+        auto h2 = std::make_unique<ProgramHarness>(*restored);
+        h2->disk = h->disk;
+        h2->MarkRestoredInRead();
+        h = std::move(h2);
+        ps = std::move(restored);
+        syncs_seen = 0;
+      }
+      ASSERT_EQ(ps->blocks_in_use(), model.refcount.size()) << "step " << step;
+      for (const Gpid p : pids) {
+        for (PageNum page = 0; page < kPages; ++page) {
+          ASSERT_EQ(ps->PrimaryHasPage(p, page), model.Has(model.primary, p, page));
+          ASSERT_EQ(ps->BackupHasPage(p, page), model.Has(model.backup, p, page));
+        }
+      }
+    }
+    collect_ops();
+    ASSERT_FALSE(got_ops.empty());
+    ASSERT_LE(got_ops.size(), want_ops.size());
+    for (size_t i = 0; i < got_ops.size(); ++i) {
+      ASSERT_EQ(got_ops[i], want_ops[i]) << "op " << i;
+    }
+  }
 }
 
 TEST(PageServer, StateSerializationRoundTrip) {

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <string>
 
+#include "src/base/codec.h"
 #include "src/machine/machine.h"
 #include "src/trace/trace.h"
 #include "src/workload/kv_service.h"
@@ -53,8 +54,8 @@ void Usage() {
       "  --client-clusters L comma-separated client clusters (default: all)\n"
       "  --run-cap-us US     simulated-time cap (default 2000000000)\n"
       "  --trace FILE        save the (mark-masked) trace\n"
-      "  --stats             also print tracedump-style histograms and engine\n"
-      "                      window statistics\n"
+      "  --stats             also print tracedump-style histograms, engine\n"
+      "                      window statistics and buffer-pool counters\n"
       "  --digest            print the trace digest (determinism check)\n");
 }
 
@@ -239,6 +240,14 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(ws.windows), ws.events / windows,
                 ws.shard_runs / windows, engine.num_shards(),
                 static_cast<unsigned long long>(ws.cross_posts));
+    // Byte buffers on the message path: a run that recycles them shows
+    // few fresh acquisitions next to many reuses. The pool is per thread;
+    // with --machine-threads > 1 this is the driving thread's share only.
+    const BufferPool& pool = BufferPool::Get();
+    std::printf("buffer pool: reused %llu, fresh %llu, released %llu, pooled now %zu\n",
+                static_cast<unsigned long long>(pool.reuses()),
+                static_cast<unsigned long long>(pool.fresh()),
+                static_cast<unsigned long long>(pool.releases()), pool.pooled());
   }
   if (verbose) {
     for (uint32_t s = 0; s < kv.sessions; ++s) {
