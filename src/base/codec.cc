@@ -81,64 +81,10 @@ struct PooledPayload : Bytes {
   ~PooledPayload() { BufferPool::Get().Release(std::move(static_cast<Bytes&>(*this))); }
 };
 
-// allocate_shared places a PooledPayload next to its reference count in one
-// node; this allocator recycles those nodes through a bounded thread-local
-// free list, as BufferPool recycles the byte storage.
-class PayloadNodes {
- public:
-  static PayloadNodes& Get() {
-    static thread_local PayloadNodes nodes;
-    return nodes;
-  }
-  ~PayloadNodes() {
-    for (void* p : free_) {
-      ::operator delete(p);
-    }
-  }
-  void* Take(size_t size) {
-    if (size == node_size_ && !free_.empty()) {
-      void* p = free_.back();
-      free_.pop_back();
-      return p;
-    }
-    return ::operator new(size);
-  }
-  void Give(void* p, size_t size) {
-    if (node_size_ == 0) {
-      node_size_ = size;
-    }
-    if (size == node_size_ && free_.size() < kMaxFree) {
-      free_.push_back(p);
-      return;
-    }
-    ::operator delete(p);
-  }
-
- private:
-  static constexpr size_t kMaxFree = 1024;
-  size_t node_size_ = 0;  // the one node type allocate_shared asks for
-  std::vector<void*> free_;
-};
-
-template <typename T>
-struct PayloadNodeAllocator {
-  using value_type = T;
-  PayloadNodeAllocator() = default;
-  template <typename U>
-  PayloadNodeAllocator(const PayloadNodeAllocator<U>&) {}  // NOLINT: rebinding
-  T* allocate(size_t n) { return static_cast<T*>(PayloadNodes::Get().Take(n * sizeof(T))); }
-  void deallocate(T* p, size_t n) { PayloadNodes::Get().Give(p, n * sizeof(T)); }
-  template <typename U>
-  bool operator==(const PayloadNodeAllocator<U>&) const {
-    return true;
-  }
-};
-
 }  // namespace
 
 PayloadPtr MakePayload(Bytes&& bytes) {
-  return std::allocate_shared<const PooledPayload>(PayloadNodeAllocator<PooledPayload>(),
-                                                   std::move(bytes));
+  return std::make_shared<const PooledPayload>(std::move(bytes));
 }
 
 uint64_t Fnv1a(const uint8_t* data, size_t size) {

@@ -97,7 +97,8 @@ class BufferPool {
   uint64_t releases() const { return releases_; }  // Release kept by the pool
 
  private:
-  // Buffers are kept by power-of-two capacity class, 16 B to 8 KiB. A
+  // Buffers are kept by power-of-two capacity class, 16 B up to 4 KiB
+  // (page-sized buffers, such as page writes and replies, are not kept). A
   // fresh buffer is allocated at the requested length, rounded to the
   // allocator's granule; a sized acquire reuses one of the last few pooled
   // buffers of its length's class that holds the request. Traffic repeats a
@@ -106,7 +107,7 @@ class BufferPool {
   // kMaxClassBytes, so buffers longer than that go back to the allocator:
   // retained buffers fragment the heap, and peak RSS shows it.
   static constexpr int kMinClass = 4;
-  static constexpr int kMaxClass = 12;
+  static constexpr int kMaxClass = 11;
   static constexpr size_t kScan = 8;
   static constexpr size_t kMaxClassBytes = 4 * 1024;
   // Unknown length: room for a message header and a short body, so an
@@ -128,9 +129,8 @@ class BufferPool {
 using PayloadPtr = std::shared_ptr<const Bytes>;
 
 // Wraps an encoded buffer for zero-copy fan-out. The wrapper and its
-// reference count share one node, recycled through a thread-local free
-// list; when the last reference drops, the buffer's storage returns to the
-// BufferPool. Steady-state frames therefore touch no allocator.
+// reference count share one allocation (make_shared); when the last
+// reference drops, the buffer's storage returns to the BufferPool.
 PayloadPtr MakePayload(Bytes&& bytes);
 
 // Appends fixed-width little-endian fields and length-prefixed blobs. The

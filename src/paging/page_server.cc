@@ -68,17 +68,6 @@ void PageServerProgram::CopyAccounts(Gpid pid) {
   // After a sync, only one copy of each page will exist."
   Account& b = backup_[pid];
   Account& p = primary_[pid];
-  if (full_copy_.erase(pid) != 0) {
-    for (const auto& [page, block] : b.pages) {
-      Release(block);
-    }
-    b.pages = p.pages;
-    for (const auto& [page, block] : b.pages) {
-      Retain(block);
-    }
-    p.touched.clear();
-    return;
-  }
   // Only the touched pages differ. Visiting them in ascending page order
   // frees the replaced backup blocks in the order a full copy would (a
   // full copy's release pass frees exactly these blocks: every untouched
@@ -366,13 +355,21 @@ void PageServerProgram::RestoreState(ByteReader& r) {
   get_accounts(backup_);
   refcount_.assign(options_.num_blocks, 0);
   blocks_in_use_ = 0;
-  full_copy_.clear();
   for (const auto* accounts : {&primary_, &backup_}) {
     for (const auto& [pid, acct] : *accounts) {
-      full_copy_.insert(pid);
       for (const auto& [page, block] : acct.pages) {
         Retain(block);
       }
+    }
+  }
+  // No touched list survives serialization, so every primary page counts
+  // as touched. A backup account only ever receives pages copied from the
+  // primary, and pages leave the primary only with the backup account, so
+  // the backup's pages are a subset of the primary's: the copy of every
+  // page frees exactly the blocks a full copy frees, in the same order.
+  for (auto& [pid, acct] : primary_) {
+    for (const auto& [page, block] : acct.pages) {
+      acct.touched.push_back(page);
     }
   }
   free_list_.clear();

@@ -31,7 +31,6 @@
 #define AURAGEN_SRC_PAGING_PAGE_SERVER_H_
 
 #include <map>
-#include <set>
 #include <vector>
 
 #include "src/kernel/native_body.h"
@@ -79,8 +78,9 @@ class PageServerProgram : public NativeProgram {
   struct Account {
     std::map<PageNum, BlockNum> pages;
     // Primary accounts: pages InstallWrite replaced since this process's
-    // last account copy (unsorted, may repeat). Every other page of the
-    // primary account already sits, with the same block, in the backup.
+    // last account copy (unsorted, may repeat), or, after RestoreState,
+    // every page. Every other page of the primary account already sits,
+    // with the same block, in the backup.
     std::vector<PageNum> touched;
   };
 
@@ -100,9 +100,6 @@ class PageServerProgram : public NativeProgram {
   std::map<Gpid, Account> backup_;
   std::vector<uint32_t> refcount_;  // by block; sized by num_blocks
   uint64_t blocks_in_use_ = 0;      // blocks with a nonzero refcount
-  // Processes whose accounts came from RestoreState: no touched list covers
-  // their differences, so their next copy is a full one.
-  std::set<Gpid> full_copy_;
   std::vector<BlockNum> free_list_;
   BlockNum next_block_;
 
