@@ -296,15 +296,13 @@ void Kernel::DeliverLocal(const MsgView& msg) {
     }
   }
 
-  if (h.kind == MsgKind::kSync) {
+  if (h.kind == MsgKind::kSync && SyncRecord::PeekBackupCluster(msg.body()) == id_) {
     // Beyond the page-server channel delivery above, a sync message updates
     // the backup PCB when this cluster hosts it (§7.8).
     SyncRecord record = SyncRecord::Decode(msg.body());
-    if (record.backup_cluster == id_) {
-      ExecEnqueue(env_.config().exec_sync_apply_us, [this, record = std::move(record)] {
-        ApplySyncAtBackup(record);
-      });
-    }
+    ExecEnqueue(env_.config().exec_sync_apply_us, [this, record = std::move(record)] {
+      ApplySyncAtBackup(record);
+    });
   }
 }
 

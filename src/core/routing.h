@@ -139,6 +139,18 @@ class RoutingTable {
   // order — the order ForEach would visit them in.
   std::vector<RoutingEntry*> EntriesOf(Gpid owner, bool backup_entry);
 
+  // Visits the entries EntriesOf returns, in the same order, in place.
+  // `fn(RoutingEntry&)` must not create or remove entries.
+  template <typename Fn>
+  void ForEachOf(Gpid owner, bool backup_entry, Fn&& fn) {
+    const auto& owners = by_owner_[backup_entry];
+    if (auto it = owners.find(owner); it != owners.end()) {
+      for (const auto& [channel, entry] : it->second) {
+        fn(*entry);
+      }
+    }
+  }
+
   // Drops every entry owned by `owner` with the given role.
   void RemoveAllOf(Gpid owner, bool backup_entry);
 

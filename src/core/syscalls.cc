@@ -132,14 +132,14 @@ RoutingEntry* Kernel::PickReadable(Pcb& pcb, const std::vector<Fd>& fds, Fd* out
 
 RoutingEntry* Kernel::PickReadableAny(Pcb& pcb) {
   RoutingEntry* best = nullptr;
-  for (RoutingEntry* e : routing_.EntriesOf(pcb.pid, /*backup=*/false)) {
-    if (e->queue.empty()) {
-      continue;
+  routing_.ForEachOf(pcb.pid, /*backup=*/false, [&best](RoutingEntry& e) {
+    if (e.queue.empty()) {
+      return;
     }
-    if (best == nullptr || e->queue.front().arrival_seq < best->queue.front().arrival_seq) {
-      best = e;
+    if (best == nullptr || e.queue.front().arrival_seq < best->queue.front().arrival_seq) {
+      best = &e;
     }
-  }
+  });
   return best;
 }
 
@@ -700,6 +700,16 @@ void Kernel::DoNativeSyscall(Pcb& pcb, SyscallRequest&& req) {
                             }
                             CompleteAndReady(*p, res.ok() ? 0 : NegErr(res.error()));
                           });
+      break;
+    }
+    case NativeSys::kPollAny: {
+      AURAGEN_CHECK(pcb.peripheral) << "non-blocking read from non-peripheral server";
+      RoutingEntry* e = PickReadableAny(pcb);
+      if (e == nullptr) {
+        CompleteAndReady(pcb, NegErr(Errc::kWouldBlock));
+      } else {
+        ConsumeMessage(pcb, *e, -1, /*read_any=*/true);
+      }
       break;
     }
     case NativeSys::kServerSyncSend: {

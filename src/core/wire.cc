@@ -151,6 +151,24 @@ SyncRecord SyncRecord::Decode(ByteView body) {
   return s;
 }
 
+Gpid SyncRecord::PeekPid(ByteView body) {
+  ByteReader r(body);
+  Gpid pid;
+  pid.value = r.U64();
+  return pid;
+}
+
+ClusterId SyncRecord::PeekBackupCluster(ByteView body) {
+  ByteReader r(body);
+  r.U64();       // pid
+  r.U64();       // sync_seq
+  r.U8();        // first_sync
+  r.BlobView();  // context
+  r.U32();       // sig_handler
+  r.U64();       // exec_us
+  return r.U32();
+}
+
 Bytes BirthNotice::Encode() const {
   ByteWriter w;
   w.U64(parent.value);

@@ -146,6 +146,10 @@ struct SyncRecord {
 
   Bytes Encode() const;
   static SyncRecord Decode(ByteView body);
+  // Single fields of an encoded record, read without decoding (and
+  // copying) the context blob and the channel list.
+  static Gpid PeekPid(ByteView body);
+  static ClusterId PeekBackupCluster(ByteView body);
 };
 
 // Kernel-held per-process state that must survive into the backup alongside

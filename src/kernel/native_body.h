@@ -59,6 +59,11 @@ enum class NativeSys : uint32_t {
                           // multi-block disk transaction (single seek per
                           // mirror, all blocks land atomically). The file
                           // server's log append + checkpoint migration.
+  kPollAny = 111,         // Sys::kRead of kAnyChannel that never blocks: rv =
+                          // -kWouldBlock when no message is queued. For
+                          // peripheral servers only (CHECKed): the answer
+                          // depends on timing, which no rollforward of a
+                          // page-synced process could reproduce.
 };
 
 inline constexpr uint32_t kFirstNativeSys = 100;

@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <map>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -104,6 +105,9 @@ std::string TraceAnalysis::ToString() const {
   out += "crash->dispatch     : " + crash_to_dispatch.ToString() + "\n";
   out += "crash->recovered    : " + crash_to_recovered.ToString() + "\n";
   out += "rollforward replayed: " + rollforward_replayed.ToString() + "\n";
+  if (page_in_latency.count() != 0) {
+    out += "page-in latency     : " + page_in_latency.ToString() + "\n";
+  }
   if (disk_queue_wait.count() != 0) {
     out += "disk queue wait     : " + disk_queue_wait.ToString() + "\n";
   }
@@ -141,6 +145,9 @@ TraceAnalysis AnalyzeTrace(const std::vector<TraceEvent>& events) {
   // re-pair an already-counted request; `completed` dedups the end marks.
   std::map<std::pair<uint64_t, uint64_t>, SimTime> issue_ts;
   std::map<std::pair<uint64_t, uint64_t>, bool> completed;
+  // (cluster, pid, page) -> first unanswered fault. A fault re-raised
+  // before its reply keeps the first time: the process waited from there.
+  std::map<std::tuple<uint64_t, uint64_t, uint64_t>, SimTime> fault_ts;
   bool crash_outstanding = false;
   SimTime first_detect = 0;
 
@@ -198,6 +205,17 @@ TraceAnalysis AnalyzeTrace(const std::vector<TraceEvent>& events) {
       case TraceEventKind::kTakeover:
         out.rollforward_replayed.Add(e.b);
         break;
+      case TraceEventKind::kPageFault:
+        fault_ts.emplace(std::make_tuple(uint64_t{e.cluster}, e.gpid, e.a), e.ts);
+        break;
+      case TraceEventKind::kPageReply: {
+        auto it = fault_ts.find(std::make_tuple(uint64_t{e.cluster}, e.gpid, e.a));
+        if (it != fault_ts.end()) {
+          out.page_in_latency.Add(e.ts - it->second);
+          fault_ts.erase(it);
+        }
+        break;
+      }
       case TraceEventKind::kDiskQueueWait:
         out.disk_queue_wait.Add(e.a);
         break;

@@ -67,6 +67,9 @@ struct TraceAnalysis {
   LatencyHistogram crash_to_dispatch;    // crash detect -> first dispatch
   LatencyHistogram crash_to_recovered;   // crash detect -> handling complete
   LatencyHistogram rollforward_replayed; // saved messages replayed per takeover
+  // Demand page-in (§7.10.2): kPageFault -> kPageReply for the same
+  // (cluster, pid, page). What a recovered process waits on the page server.
+  LatencyHistogram page_in_latency;
 
   // Disk queueing + file-server journal (kDiskQueueWait / kFsLogCommit).
   // Group commit's before/after lives here: queue waits collapse and each

@@ -7,7 +7,9 @@
 #include <string>
 
 #include "src/avm/assembler.h"
+#include "src/kernel/native_body.h"
 #include "src/machine/machine.h"
+#include "src/paging/page_server.h"
 #include "src/trace/analysis.h"
 #include "src/workload/kv_service.h"
 #include "src/workload/slo.h"
@@ -214,6 +216,77 @@ TEST(KvWorkload, ClientsDoneMatchesFullScan) {
   EXPECT_GT(calls, 100u);
   EXPECT_EQ(disagreements, 0u);
   EXPECT_TRUE(KvClientsDone(machine, d));
+}
+
+// kvload's recovery shape: 64 write-heavy sessions on 8 clusters, cluster 2
+// crashed 100 ms in. The recovered processes page their state back in
+// (§7.10.2) while syncs keep the page server busy; a page request must not
+// queue behind its write backlog (about 1 s of it when the server wrote one
+// page per disk request).
+TEST(KvWorkload, RecoveryPageInsDoNotQueueBehindPageWrites) {
+  KvOptions kv;
+  kv.sessions = 64;
+  kv.requests_per_session = 300;
+  kv.read_fraction = 0.3;
+  MachineOptions mo;
+  mo.config.num_clusters = 8;
+  mo.seed = kv.seed;
+  mo.trace.enabled = true;
+  mo.trace.unbounded = true;
+  mo.trace.kind_mask = TraceKindBit(TraceEventKind::kRequestMark) |
+                       TraceKindBit(TraceEventKind::kPageFault) |
+                       TraceKindBit(TraceEventKind::kPageReply);
+  Machine machine(mo);
+  machine.Boot();
+  KvDeployment d = DeployKv(machine, kv);
+  machine.CrashClusterAt(machine.Now() + 100'000, 2);
+  const bool done = machine.RunUntil([&] { return KvClientsDone(machine, d); }, 500'000'000);
+  machine.Settle();
+  SloReport r = BuildSloReport(machine.tracer()->Events(), machine, d, done);
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.mismatches, 0u);
+  EXPECT_LT(r.max_us, 400'000u);
+  TraceAnalysis a = AnalyzeTrace(machine.tracer()->Events());
+  EXPECT_GT(a.page_in_latency.count(), 0u);
+  EXPECT_LT(a.page_in_latency.max_us(), 100'000u);
+}
+
+// Crash the page server's own cluster while it holds staged page images:
+// its backup takes over with the durable prefix only and replays the rest
+// from its saved queues. No acknowledged write may be lost.
+TEST(KvWorkload, PageServerCrashWithStagedPagesLosesNoAckedWrite) {
+  KvOptions kv;
+  kv.sessions = 32;
+  kv.requests_per_session = 200;
+  kv.read_fraction = 0.3;
+  MachineOptions mo;
+  mo.config.num_clusters = 8;
+  mo.seed = kv.seed;
+  mo.trace.enabled = true;
+  mo.trace.unbounded = true;
+  mo.trace.kind_mask = TraceKindBit(TraceEventKind::kRequestMark);
+  Machine machine(mo);
+  machine.Boot();
+  KvDeployment d = DeployKv(machine, kv);
+  const ServerAddr ps = machine.page_server_addr();
+  auto staged_pages = [&]() -> size_t {
+    Pcb* pcb = machine.kernel(ps.primary).FindProcess(ps.pid);
+    auto* body = pcb != nullptr ? dynamic_cast<NativeBody*>(pcb->body.get()) : nullptr;
+    auto* program = body != nullptr ? dynamic_cast<PageServerProgram*>(&body->program())
+                                    : nullptr;
+    return program != nullptr ? program->staged_pages() : 0;
+  };
+  // Into the steady load, then on to a moment with images staged.
+  machine.Run(50'000);
+  ASSERT_TRUE(machine.RunUntil([&] { return staged_pages() > 0; }, 100'000));
+  const uint64_t takeovers = machine.metrics().takeovers;
+  machine.CrashCluster(ps.primary);
+  const bool done = machine.RunUntil([&] { return KvClientsDone(machine, d); }, 500'000'000);
+  machine.Settle();
+  EXPECT_GT(machine.metrics().takeovers, takeovers);
+  SloReport r = BuildSloReport(machine.tracer()->Events(), machine, d, done);
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.mismatches, 0u);
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 // Test harness that drives a NativeProgram directly: it plays the kernel's
 // role, answering device and channel syscalls from canned state, so server
 // state machines (file/page/tty/process server) can be unit-tested without
-// a machine — including their §7.9 serialize/apply/replay behaviour.
+// a machine — including their §7.9 serialize/apply/replay behaviour. Time
+// does not pass on its own: Idle() fires the timers a program armed.
 
 #ifndef AURAGEN_TESTS_PROGRAM_HARNESS_H_
 #define AURAGEN_TESTS_PROGRAM_HARNESS_H_
 
 #include <deque>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -24,12 +26,6 @@ class ProgramHarness {
   // Emulates NativeBody's post-restore entry: the restored program's first
   // Next() call arrives with first=false (it is not a fresh start).
   void MarkRestored() { first_ = false; }
-  // As MarkRestored, for a program restored while parked in read-any: the
-  // kernel re-issues that read, so the next Deliver() completes it.
-  void MarkRestoredInRead() {
-    first_ = false;
-    pending_read_ = true;
-  }
 
   struct Sent {
     uint64_t channel = 0;
@@ -52,20 +48,23 @@ class ProgramHarness {
   }
 
   // Advances the program until it blocks on an empty read-any queue (or a
-  // step budget runs out — treated as a livelock failure).
+  // step budget runs out — treated as a livelock failure). A non-blocking
+  // read (kPollAny) of an empty queue completes at once with -kWouldBlock.
   void Drain(int max_steps = 10000) {
     for (int i = 0; i < max_steps; ++i) {
       SyscallRequest req = program_.Next(last_, first_);
       first_ = false;
       last_ = SyscallResult{};
-      if (req.num == Sys::kRead && req.a == kAnyChannel) {
-        if (incoming_.empty()) {
+      const bool poll = req.num == static_cast<Sys>(NativeSys::kPollAny);
+      if (poll || (req.num == Sys::kRead && req.a == kAnyChannel)) {
+        if (!incoming_.empty()) {
+          TakeIncoming();
+        } else if (poll) {
+          last_.rv = -static_cast<int64_t>(Errc::kWouldBlock);
+        } else {
           pending_read_ = true;
           return;
         }
-        last_.data = std::move(incoming_.front().payload);
-        last_.rv = static_cast<int64_t>(last_.data.size());
-        incoming_.pop_front();
         continue;
       }
       ServiceNative(req);
@@ -77,27 +76,22 @@ class ProgramHarness {
   void Deliver() {
     AURAGEN_CHECK(pending_read_) << "program not blocked in read-any";
     AURAGEN_CHECK(!incoming_.empty());
-    last_.data = std::move(incoming_.front().payload);
-    last_.rv = static_cast<int64_t>(last_.data.size());
-    incoming_.pop_front();
+    TakeIncoming();
     pending_read_ = false;
-    // Continue from the read completion.
-    for (int i = 0; i < 10000; ++i) {
-      SyscallRequest req = program_.Next(last_, false);
-      last_ = SyscallResult{};
-      if (req.num == Sys::kRead && req.a == kAnyChannel) {
-        if (incoming_.empty()) {
-          pending_read_ = true;
-          return;
-        }
-        last_.data = std::move(incoming_.front().payload);
-        last_.rv = static_cast<int64_t>(last_.data.size());
-        incoming_.pop_front();
-        continue;
-      }
-      ServiceNative(req);
+    Drain();
+  }
+
+  // Lets simulated time pass with nothing else arriving: every timer the
+  // program armed fires on its self channel (kTimerFire), including timers
+  // armed meanwhile, until the program parks with none left.
+  void Idle() {
+    AURAGEN_CHECK(pending_read_) << "program not blocked in read-any";
+    while (timers_fired_ < timers.size()) {
+      const uint64_t cookie = timers[timers_fired_++].second;
+      Push(self_channel, who_pid, kBindSelfChannel, MsgKind::kUser,
+           EncodeTaggedU64(ReqTag::kTimerFire, cookie));
+      Deliver();
     }
-    AURAGEN_PANIC("program did not quiesce");
   }
 
   // --- observable effects ---
@@ -107,6 +101,7 @@ class ProgramHarness {
   std::vector<ChanCreate> accepts;        // kAcceptChan calls
   std::vector<std::pair<uint64_t, uint64_t>> timers;  // (delay, cookie)
   std::map<BlockNum, Bytes> disk;
+  std::map<BlockNum, std::vector<Bytes>> disk_history;  // every image written
   uint64_t disk_reads = 0;
   uint64_t disk_writes = 0;
   uint64_t disk_write_batches = 0;  // kDiskWriteVec transactions
@@ -117,12 +112,21 @@ class ProgramHarness {
   ClusterId who_backup = 1;
   SimTime now = 1000;
   std::map<uint64_t, uint64_t> find_chan;  // tag -> channel id
+  uint64_t self_channel = 99;              // where Idle() delivers timer fires
+  // Called with each kServerSyncSend payload at the moment it is sent.
+  std::function<void(const Bytes&)> on_server_sync;
 
  private:
   struct Incoming {
     Bytes payload;
     size_t body_size;
   };
+
+  void TakeIncoming() {
+    last_.data = std::move(incoming_.front().payload);
+    last_.rv = static_cast<int64_t>(last_.data.size());
+    incoming_.pop_front();
+  }
 
   void ServiceNative(const SyscallRequest& req) {
     switch (static_cast<NativeSys>(req.num)) {
@@ -136,6 +140,7 @@ class ProgramHarness {
       case NativeSys::kDiskWrite:
         ++disk_writes;
         disk[static_cast<BlockNum>(req.a)] = req.data;
+        disk_history[static_cast<BlockNum>(req.a)].push_back(req.data);
         last_.rv = 0;
         break;
       case NativeSys::kDiskWriteVec: {
@@ -146,6 +151,7 @@ class ProgramHarness {
         for (uint32_t i = 0; i < n; ++i) {
           BlockNum block = r.U32();
           disk[block] = r.Blob();
+          disk_history[block].push_back(disk[block]);
           ++disk_writes;
         }
         last_.rv = 0;
@@ -153,6 +159,9 @@ class ProgramHarness {
       }
       case NativeSys::kServerSyncSend:
         server_syncs.push_back(req.data);
+        if (on_server_sync) {
+          on_server_sync(req.data);
+        }
         last_.rv = 0;
         break;
       case NativeSys::kTtyEmit:
@@ -197,6 +206,7 @@ class ProgramHarness {
   SyscallResult last_;
   bool first_ = true;
   bool pending_read_ = false;
+  size_t timers_fired_ = 0;
   std::deque<Incoming> incoming_;
 };
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <tuple>
 #include <vector>
@@ -47,7 +49,16 @@ TEST(PageServer, WriteGoesToPrimaryAccountOnly) {
   h.Drain();
   EXPECT_TRUE(ps.PrimaryHasPage(kUser, 3));
   EXPECT_FALSE(ps.BackupHasPage(kUser, 3));
+  // Staged, not written: one page waits for the idle timer it armed.
+  EXPECT_EQ(ps.staged_pages(), 1u);
+  EXPECT_EQ(h.disk_writes, 0u);
+  ASSERT_EQ(h.timers.size(), 1u);
+  EXPECT_EQ(h.timers[0].first, PageServerProgram::kIdleFlushUs);
+  h.Idle();
+  EXPECT_EQ(ps.staged_pages(), 0u);
   EXPECT_EQ(h.disk_writes, 1u);
+  EXPECT_EQ(h.disk_write_batches, 1u);
+  EXPECT_EQ(h.disk.at(ps.BlockOf(kUser, 3, /*backup=*/false)), Bytes(kAvmPageBytes, 0xAA));
 }
 
 TEST(PageServer, SyncCopiesAccountSharingBlocks) {
@@ -114,6 +125,10 @@ TEST(PageServer, ServerSyncOpsReplayRebuildsMirror) {
   h.Push(kChan, kUser, kBindPageChannel, MsgKind::kPageWrite, PageWriteMsg(kUser, 2, 2));
   h.Push(kChan, kUser, kBindPageChannel, MsgKind::kSync, SyncMsg(kUser));
   h.Drain();
+  // The three ops wait behind the staged pages; the ServerSync follows the
+  // group write that makes them durable.
+  EXPECT_TRUE(h.server_syncs.empty());
+  h.Idle();
   ASSERT_EQ(h.server_syncs.size(), 1u);
 
   // Backup applies the op log and mirrors the accounts.
@@ -189,6 +204,22 @@ TEST(PageServer, IncrementalCopyMatchesFullCopyModel) {
     auto h = std::make_unique<ProgramHarness>(*ps);
     h->Drain();  // parked in read-any
     PageStoreModel model(options.first_block);
+    std::map<BlockNum, int> content_step;  // what each model block must hold
+    // Once every staged image has landed, each block an account references
+    // holds the content its write shipped.
+    auto check_disk = [&] {
+      h->Idle();
+      ASSERT_EQ(ps->staged_pages(), 0u);
+      for (const auto* accounts : {&model.primary, &model.backup}) {
+        for (const auto& [pid, pages] : *accounts) {
+          for (const auto& [page, block] : pages) {
+            ASSERT_EQ(h->disk.count(block), 1u) << "block " << block;
+            EXPECT_EQ(h->disk[block][0] | (h->disk[block][1] << 8),
+                      content_step.at(block) & 0xffff);
+          }
+        }
+      }
+    };
     // The op log the server must ship: (op, pid, page, block).
     std::vector<std::tuple<uint8_t, uint64_t, uint32_t, uint32_t>> want_ops;
     std::vector<std::tuple<uint8_t, uint64_t, uint32_t, uint32_t>> got_ops;
@@ -197,6 +228,7 @@ TEST(PageServer, IncrementalCopyMatchesFullCopyModel) {
       for (; syncs_seen < h->server_syncs.size(); ++syncs_seen) {
         ByteReader r(h->server_syncs[syncs_seen]);
         ServerSyncPrefix::Deserialize(r);
+        r.U64();  // durable point
         Bytes ops = r.Blob();
         ByteReader o(ops);
         while (!o.done()) {
@@ -227,9 +259,8 @@ TEST(PageServer, IncrementalCopyMatchesFullCopyModel) {
         h->Deliver();
         const BlockNum block = model.Write(pid, page);
         want_ops.emplace_back(1, pid.value, page, block);
-        // The server wrote this page's content to the model's block.
-        ASSERT_EQ(h->disk.count(block), 1u) << "step " << step;
-        EXPECT_EQ(h->disk[block][0] | (h->disk[block][1] << 8), step & 0xffff);
+        content_step[block] = step;
+        ASSERT_EQ(ps->BlockOf(pid, page, /*backup=*/false), block) << "step " << step;
       } else if (dice < 18) {
         h->Push(kChan, kUser, kBindPageChannel, MsgKind::kSync, SyncMsg(pid));
         h->Deliver();
@@ -237,6 +268,9 @@ TEST(PageServer, IncrementalCopyMatchesFullCopyModel) {
         want_ops.emplace_back(2, pid.value, 0, 0);
       } else {
         // Serialize -> restore: the restored server carries on.
+        if (dice == 19) {
+          check_disk();
+        }
         collect_ops();
         ByteWriter w;
         ps->SerializeState(w);
@@ -245,7 +279,8 @@ TEST(PageServer, IncrementalCopyMatchesFullCopyModel) {
         restored->RestoreState(r);
         auto h2 = std::make_unique<ProgramHarness>(*restored);
         h2->disk = h->disk;
-        h2->MarkRestoredInRead();
+        // A peripheral server resumes from a restore with a fresh start.
+        h2->Drain();
         h = std::move(h2);
         ps = std::move(restored);
         syncs_seen = 0;
@@ -258,6 +293,7 @@ TEST(PageServer, IncrementalCopyMatchesFullCopyModel) {
         }
       }
     }
+    check_disk();
     collect_ops();
     ASSERT_FALSE(got_ops.empty());
     ASSERT_LE(got_ops.size(), want_ops.size());
@@ -270,18 +306,218 @@ TEST(PageServer, IncrementalCopyMatchesFullCopyModel) {
 TEST(PageServer, StateSerializationRoundTrip) {
   PageServerProgram ps(PageServerOptions{});
   ProgramHarness h(ps);
-  h.Push(kChan, kUser, kBindPageChannel, MsgKind::kPageWrite, PageWriteMsg(kUser, 1, 1));
+  h.Push(kChan, kUser, kBindPageChannel, MsgKind::kPageWrite, PageWriteMsg(kUser, 1, 0x5A));
   h.Push(kChan, kUser, kBindPageChannel, MsgKind::kSync, SyncMsg(kUser));
   h.Drain();
+  ASSERT_EQ(ps.staged_pages(), 1u);  // serialized with its image staged
   ByteWriter w;
   ps.SerializeState(w);
   PageServerProgram restored(PageServerOptions{});
   ByteReader r(w.bytes());
   restored.RestoreState(r);
   EXPECT_TRUE(restored.BackupHasPage(kUser, 1));
+  EXPECT_EQ(restored.staged_pages(), 1u);
   ByteWriter w2;
   restored.SerializeState(w2);
   EXPECT_EQ(w.bytes(), w2.bytes());
+  // The restored server answers from the staged image, then writes it.
+  ProgramHarness h2(restored);
+  h2.Drain();
+  PageRequestBody req;
+  req.pid = kUser;
+  req.page = 1;
+  h2.Push(kChan, kUser, kBindPageChannel, MsgKind::kPageRequest, req.Encode());
+  h2.Deliver();
+  ASSERT_EQ(h2.sent.size(), 1u);
+  EXPECT_EQ(PageReplyBody::Decode(h2.sent[0].payload).content, Bytes(kAvmPageBytes, 0x5A));
+  h2.Idle();
+  EXPECT_EQ(restored.staged_pages(), 0u);
+  EXPECT_EQ(h2.disk.at(restored.BlockOf(kUser, 1, /*backup=*/true)),
+            Bytes(kAvmPageBytes, 0x5A));
+}
+
+TEST(PageServer, BurstOfWritesIsOneGroupWrite) {
+  PageServerProgram ps(PageServerOptions{});
+  ProgramHarness h(ps);
+  for (PageNum page = 0; page < 40; ++page) {
+    h.Push(kChan, kUser, kBindPageChannel, MsgKind::kPageWrite,
+           PageWriteMsg(kUser, page, static_cast<uint8_t>(page)));
+  }
+  h.Drain();
+  // Consumed without waiting for the disk; written once the queue ran dry.
+  EXPECT_EQ(h.disk_write_batches, 1u);
+  EXPECT_EQ(h.disk_writes, 40u);
+  EXPECT_EQ(ps.staged_pages(), 0u);
+  for (PageNum page = 0; page < 40; ++page) {
+    EXPECT_EQ(h.disk.at(ps.BlockOf(kUser, page, /*backup=*/false)),
+              Bytes(kAvmPageBytes, static_cast<uint8_t>(page)));
+  }
+  // A longer burst splits into full batches.
+  for (PageNum page = 0; page < 2 * PageServerProgram::kMaxBatchPages + 8; ++page) {
+    h.Push(kChan, kUser, kBindPageChannel, MsgKind::kPageWrite,
+           PageWriteMsg(kUser, 100 + page, 1));
+  }
+  h.Deliver();
+  EXPECT_EQ(h.disk_write_batches, 3u);
+  // The last few are too few to pay for a seek: they wait for the timer.
+  EXPECT_EQ(ps.staged_pages(), 8u);
+  h.Idle();
+  EXPECT_EQ(h.disk_write_batches, 4u);
+  EXPECT_EQ(ps.staged_pages(), 0u);
+}
+
+TEST(PageServer, RequestAnsweredFromStagedImage) {
+  PageServerProgram ps(PageServerOptions{});
+  ProgramHarness h(ps);
+  h.Push(kChan, kUser, kBindPageChannel, MsgKind::kPageWrite, PageWriteMsg(kUser, 5, 0x11));
+  h.Push(kChan, kUser, kBindPageChannel, MsgKind::kSync, SyncMsg(kUser));
+  PageRequestBody req;
+  req.pid = kUser;
+  req.page = 5;
+  req.cookie = 9;
+  h.Push(kChan, kUser, kBindPageChannel, MsgKind::kPageRequest, req.Encode());
+  h.Drain();
+  // Answered before its batch landed, from memory.
+  EXPECT_EQ(h.disk_writes, 0u);
+  EXPECT_EQ(h.disk_reads, 0u);
+  ASSERT_EQ(h.sent.size(), 1u);
+  PageReplyBody reply = PageReplyBody::Decode(h.sent[0].payload);
+  EXPECT_TRUE(reply.known);
+  EXPECT_EQ(reply.cookie, 9u);
+  EXPECT_EQ(reply.content, Bytes(kAvmPageBytes, 0x11));
+  // Once landed, the same request is read back from disk.
+  h.Idle();
+  h.Push(kChan, kUser, kBindPageChannel, MsgKind::kPageRequest, req.Encode());
+  h.Deliver();
+  EXPECT_EQ(h.disk_reads, 1u);
+  ASSERT_EQ(h.sent.size(), 2u);
+  EXPECT_EQ(PageReplyBody::Decode(h.sent[1].payload).content, Bytes(kAvmPageBytes, 0x11));
+}
+
+// Sums a ServerSync's trim counts and returns its durable point.
+uint64_t TrimmedBy(const Bytes& sync, uint32_t* trimmed) {
+  ByteReader r(sync);
+  ServerSyncPrefix prefix = ServerSyncPrefix::Deserialize(r);
+  for (const auto& [chan, count] : prefix.serviced) {
+    *trimmed += count;
+  }
+  return r.U64();
+}
+
+TEST(PageServer, ServerSyncNeverTrimsStagedWrites) {
+  PageServerOptions options;
+  options.sync_every_ops = 1;
+  PageServerProgram ps(options);
+  ProgramHarness h(ps);
+  h.Push(kChan, kUser, kBindPageChannel, MsgKind::kPageWrite, PageWriteMsg(kUser, 1, 1));
+  h.Push(kChan, kUser, kBindPageChannel, MsgKind::kSync, SyncMsg(kUser));
+  PageRequestBody req;
+  req.pid = kUser;
+  req.page = 1;
+  h.Push(kChan, kUser, kBindPageChannel, MsgKind::kPageRequest, req.Encode());
+  h.Drain();
+  // All three consumed and the request answered, but the write is only
+  // staged: nothing may be trimmed, not even what followed it.
+  EXPECT_EQ(h.sent.size(), 1u);
+  EXPECT_TRUE(h.server_syncs.empty());
+  h.Idle();
+  // Durable now: the write and the sync each complete a ServerSync's op
+  // count (the request rides along with the next one).
+  uint32_t trimmed = 0;
+  uint64_t durable = 0;
+  for (const Bytes& sync : h.server_syncs) {
+    durable = TrimmedBy(sync, &trimmed);
+  }
+  EXPECT_EQ(h.server_syncs.size(), 2u);
+  EXPECT_EQ(trimmed, 2u);
+  EXPECT_EQ(durable, 2u);
+}
+
+// A backup instance applying every ServerSync at the moment it is sent
+// must only ever reference blocks whose content reached the disk: random
+// writes over a few hot pages with syncs in between supersede staged
+// images, which are dropped unwritten.
+TEST(PageServer, MirrorReferencesOnlyDurableBlocks) {
+  const std::vector<Gpid> pids = {Gpid::Make(1, 40), Gpid::Make(2, 41)};
+  size_t total_partial = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed * 104729);
+    PageServerOptions options;
+    options.sync_every_ops = static_cast<uint32_t>(1 + rng.Below(4));
+    PageServerProgram ps(options);
+    ProgramHarness h(ps);
+    PageServerProgram mirror(options);
+    std::vector<Bytes> shipped;        // page write images, in push order
+    size_t applied_writes = 0;         // kWrite ops the mirror has applied
+    std::map<BlockNum, Bytes> expect;  // what the mirror's ops put in a block
+    Bytes held;                        // ops of partial syncs, not applied yet
+    size_t partial_syncs = 0;
+    h.on_server_sync = [&](const Bytes& sync) {
+      ByteReader r(sync);
+      ServerSyncPrefix prefix = ServerSyncPrefix::Deserialize(r);
+      ByteReader peek(sync);
+      ServerSyncPrefix::Deserialize(peek);
+      const bool partial = peek.U64() == ~uint64_t{0};
+      const Bytes ops = peek.Blob();
+      held.insert(held.end(), ops.begin(), ops.end());
+      mirror.ApplyServerSync(r);
+      if (partial) {
+        // Nothing applied and nothing trimmed until the prefix may end.
+        EXPECT_TRUE(prefix.serviced.empty());
+        ++partial_syncs;
+        return;
+      }
+      ByteReader o(held);
+      while (!o.done()) {
+        const uint8_t op = o.U8();
+        o.U64();
+        if (op == 1) {
+          o.U32();
+          expect[o.U32()] = shipped.at(applied_writes++);
+        }
+      }
+      held.clear();
+      for (BlockNum block : mirror.ReferencedBlocks()) {
+        const auto& history = h.disk_history[block];
+        ASSERT_NE(std::find(history.begin(), history.end(), expect.at(block)), history.end())
+            << "mirror references block " << block << " before its content is on disk";
+      }
+    };
+    h.Drain();
+    for (int step = 0; step < 600; ++step) {
+      const Gpid pid = pids[rng.Below(pids.size())];
+      const uint64_t dice = rng.Below(10);
+      if (dice < 6) {
+        Bytes image(kAvmPageBytes, 0);
+        image[0] = static_cast<uint8_t>(step);
+        image[1] = static_cast<uint8_t>(step >> 8);
+        shipped.push_back(image);
+        PageWriteBody body;
+        body.pid = pid;
+        body.page = static_cast<PageNum>(rng.Below(3));
+        body.content = image;
+        h.Push(kChan, kUser, kBindPageChannel, MsgKind::kPageWrite, body.Encode());
+      } else if (dice < 9) {
+        h.Push(kChan, kUser, kBindPageChannel, MsgKind::kSync, SyncMsg(pid));
+      } else {
+        h.Idle();
+        continue;
+      }
+      // Deliver in bursts, so that images stay staged across syncs.
+      if (rng.Below(4) == 0) {
+        h.Deliver();
+      }
+    }
+    h.Push(kChan, kUser, kBindPageChannel, MsgKind::kSync, SyncMsg(pids[0]));
+    h.Deliver();
+    h.Idle();
+    EXPECT_EQ(ps.staged_pages(), 0u);
+    EXPECT_LT(h.disk_writes, shipped.size());  // some images were dropped
+    EXPECT_GT(h.server_syncs.size(), partial_syncs);
+    total_partial += partial_syncs;
+  }
+  EXPECT_GT(total_partial, 0u);  // the seeds exercise held ops
 }
 
 // ------------------------------------------------------------- file server

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/avm/assembler.h"
+#include "src/kernel/native_body.h"
 #include "src/machine/machine.h"
 
 namespace auragen {
@@ -23,6 +26,72 @@ int RunToExit(Machine& machine, const Executable& exe, ClusterId cluster,
   EXPECT_TRUE(machine.RunUntilAllExited(30'000'000));
   machine.Settle();
   return machine.HasExited(pid) ? machine.ExitStatus(pid) : -999;
+}
+
+// A native program that polls its queue once (kPollAny) and exits,
+// recording the poll's result.
+class PollOnce : public NativeProgram {
+ public:
+  explicit PollOnce(int64_t* rv) : rv_(rv) {}
+  SyscallRequest Next(const SyscallResult& prev, bool first) override {
+    if (first) {
+      return NativeRequest(NativeSys::kPollAny);
+    }
+    *rv_ = prev.rv;
+    SyscallRequest exit;
+    exit.num = Sys::kExit;
+    return exit;
+  }
+  void SerializeState(ByteWriter&) const override {}
+  void RestoreState(ByteReader&) override {}
+
+ private:
+  int64_t* rv_;
+};
+
+void SpawnPoller(Machine& machine, int64_t* rv, bool peripheral) {
+  SpawnSpec spec;
+  spec.native = std::make_unique<PollOnce>(rv);
+  spec.peripheral = peripheral;
+  machine.kernel(0).Spawn(std::move(spec));
+}
+
+TEST(SyscallEdge, PollAnyOnEmptyQueueReturnsAtOnce) {
+  Machine machine(TwoClusters());
+  machine.Boot();
+  int64_t rv = 1;
+  SpawnPoller(machine, &rv, /*peripheral=*/true);
+  machine.Run(10'000);
+  EXPECT_EQ(rv, -static_cast<int64_t>(Errc::kWouldBlock));
+}
+
+// A poll's answer depends on timing, which rollforward cannot reproduce:
+// only peripheral servers (never page-synced) may poll.
+TEST(SyscallEdgeDeathTest, PollAnyRefusedForNonPeripheralServer) {
+  EXPECT_DEATH(
+      {
+        Machine machine(TwoClusters());
+        machine.Boot();
+        int64_t rv = 1;
+        SpawnPoller(machine, &rv, /*peripheral=*/false);
+        machine.Run(10'000);
+      },
+      "non-blocking read from non-peripheral server");
+}
+
+TEST(SyscallEdge, PollAnyRefusedForUserPrograms) {
+  Machine machine(TwoClusters());
+  machine.Boot();
+  Executable prog = MustAssemble(R"(
+start:
+    sys 111            ; kPollAny: a native-only syscall
+    li r12, -8         ; -kNotSupported
+    beq r0, r12, ok
+    exit 1
+ok:
+    exit 0
+)");
+  EXPECT_EQ(RunToExit(machine, prog, 0), 0);
 }
 
 TEST(SyscallEdge, ReadFromBadFdReturnsError) {

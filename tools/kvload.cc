@@ -3,7 +3,8 @@
 // N client sessions, optionally injects a mid-run cluster crash, and prints
 // the SLO report (p50/p99/p999, goodput) built from kRequestMark trace
 // events. Exit status 0 iff every session completed with zero verification
-// failures — i.e. no acknowledged write was lost.
+// failures — i.e. no acknowledged write was lost — and, with
+// --max-latency-us N, no request took longer than N us.
 //
 //   kvload --sessions 1000 --partitions 8 --clusters 8
 //   kvload --sync-mode incremental-async
@@ -54,8 +55,12 @@ void Usage() {
       "  --client-clusters L comma-separated client clusters (default: all)\n"
       "  --run-cap-us US     simulated-time cap (default 2000000000)\n"
       "  --trace FILE        save the (mark-masked) trace\n"
+      "  --full-trace        record every trace event kind, not only the SLO\n"
+      "                      marks, crash recovery and page-ins (large)\n"
       "  --stats             also print tracedump-style histograms, engine\n"
       "                      window statistics and buffer-pool counters\n"
+      "  --max-latency-us N  exit nonzero when the slowest request took\n"
+      "                      longer than N us (0 = no limit)\n"
       "  --digest            print the trace digest (determinism check)\n");
 }
 
@@ -81,6 +86,7 @@ int main(int argc, char** argv) {
   bool digest = false;
   bool verbose = false;
   bool full_trace = false;
+  uint64_t max_latency_us = 0;  // 0 = no limit
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -170,6 +176,8 @@ int main(int argc, char** argv) {
       verbose = true;
     } else if (arg == "--full-trace") {
       full_trace = true;
+    } else if (arg == "--max-latency-us") {
+      max_latency_us = std::strtoull(next(), nullptr, 0);
     } else if (arg == "--digest") {
       digest = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -200,13 +208,16 @@ int main(int argc, char** argv) {
   options.engine_threads = engine_threads;
   options.trace.enabled = true;
   options.trace.unbounded = true;
-  // Only the SLO marks and the crash-recovery envelope: full delivery
-  // tracing at thousands of sessions costs gigabytes.
+  // Only the SLO marks, the crash-recovery envelope and recovery page-ins
+  // (faults happen only after a takeover): full delivery tracing at
+  // thousands of sessions costs gigabytes.
   options.trace.kind_mask = TraceKindBit(TraceEventKind::kRequestMark) |
                             TraceKindBit(TraceEventKind::kCrashDetect) |
                             TraceKindBit(TraceEventKind::kCrashHandled) |
                             TraceKindBit(TraceEventKind::kRecoveryDispatch) |
-                            TraceKindBit(TraceEventKind::kTakeover);
+                            TraceKindBit(TraceEventKind::kTakeover) |
+                            TraceKindBit(TraceEventKind::kPageFault) |
+                            TraceKindBit(TraceEventKind::kPageReply);
   if (full_trace) options.trace.kind_mask = ~0ull;
   Machine machine(options);
   machine.Boot();
@@ -279,6 +290,12 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("trace saved to %s\n", trace_path.c_str());
+  }
+  if (max_latency_us != 0 && report.max_us > max_latency_us) {
+    std::printf("kvload: slowest request %llu us exceeds --max-latency-us %llu\n",
+                static_cast<unsigned long long>(report.max_us),
+                static_cast<unsigned long long>(max_latency_us));
+    return 1;
   }
   return (report.complete && report.mismatches == 0) ? 0 : 1;
 }
