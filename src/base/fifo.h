@@ -80,6 +80,17 @@ class Fifo {
   void push_back(T&& v) { emplace_back() = std::move(v); }
   void push_back(const T& v) { emplace_back() = v; }
 
+  // Puts an element back at the front (a lane returning a frame its failed
+  // line never delivered).
+  void push_front(T&& v) {
+    if (size_ == slots_.size()) {
+      Grow();
+    }
+    head_ = (head_ + slots_.size() - 1) & (slots_.size() - 1);
+    slots_[head_] = std::move(v);
+    ++size_;
+  }
+
   void pop_front() {
     AURAGEN_CHECK(size_ != 0) << "pop_front of an empty Fifo";
     slots_[head_] = T();
@@ -88,9 +99,13 @@ class Fifo {
   }
 
   // Removes one element, shifting the ones behind it forward (O(distance
-  // to the back); the queues erase at or near the front). Returns the
-  // iterator to the element that followed it.
+  // to the back); the front, where the queues erase most, is O(1)).
+  // Returns the iterator to the element that followed it.
   iterator erase(iterator it) {
+    if (it.i_ == 0) {
+      pop_front();
+      return it;
+    }
     for (size_t i = it.i_; i + 1 < size_; ++i) {
       at(i) = std::move(at(i + 1));
     }

@@ -148,7 +148,7 @@ void InterclusterBus::StartNext() {
   }
   transmitting_ = true;
   const bool urgent = !urgent_pending_.empty();
-  std::deque<Frame>& lane = urgent ? urgent_pending_ : pending_;
+  Fifo<Frame>& lane = urgent ? urgent_pending_ : pending_;
   InFlight fl;
   fl.urgent = urgent;
   fl.frame = std::move(lane.front());

@@ -21,11 +21,11 @@
 #define AURAGEN_SRC_BUS_INTERCLUSTER_BUS_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
 
+#include "src/base/fifo.h"
 #include "src/base/rng.h"
 #include "src/bus/frame.h"
 #include "src/sim/engine.h"
@@ -199,8 +199,8 @@ class InterclusterBus {
   ClusterMask local_mask_;             // resolved: binding.local or "all"
   SwitchNode* switch_ = nullptr;       // null on a single-segment machine
   std::vector<BusEndpoint*> endpoints_;
-  std::deque<Frame> pending_;
-  std::deque<Frame> urgent_pending_;  // heartbeat lane, wins arbitration
+  Fifo<Frame> pending_;
+  Fifo<Frame> urgent_pending_;  // heartbeat lane, wins arbitration
   bool transmitting_ = false;
   bool line_ok_[2] = {true, true};
   uint64_t next_frame_id_ = 1;

@@ -5,8 +5,10 @@
 #include <memory>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "src/base/codec.h"
+#include "src/base/fifo.h"
 #include "src/base/task.h"
 #include "src/base/result.h"
 #include "src/base/rng.h"
@@ -272,6 +274,49 @@ TEST(Task, MoveTransfersOwnershipExactlyOnce) {
   c();
   EXPECT_EQ(*counted, 2);
   EXPECT_DEATH(b(), "empty MoveFn");
+}
+
+std::vector<int> Drain(const Fifo<int>& q) {
+  return std::vector<int>(q.begin(), q.end());
+}
+
+TEST(Fifo, PushFrontWrapsAndGrowsInOrder) {
+  Fifo<int> q;
+  for (int i = 1; i <= 8; ++i) {
+    q.push_back(i);  // exactly fills the first ring
+  }
+  q.pop_front();
+  q.pop_front();
+  q.push_front(2);   // into the slot just vacated
+  q.push_front(1);
+  q.push_front(0);   // ring full: grows, keeps the order
+  EXPECT_EQ(Drain(q), (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
+
+  Fifo<int> empty;
+  empty.push_front(5);  // push_front into a ring with no slots yet
+  empty.push_back(6);
+  EXPECT_EQ(Drain(empty), (std::vector<int>{5, 6}));
+}
+
+TEST(Fifo, EraseAtFrontAndInTheMiddle) {
+  Fifo<std::shared_ptr<int>> q;
+  auto held = std::make_shared<int>(0);
+  q.push_back(held);
+  for (int i = 1; i < 5; ++i) {
+    q.push_back(std::make_shared<int>(i));
+  }
+  auto it = q.erase(q.begin());  // front: O(1), releases the element at once
+  EXPECT_EQ(held.use_count(), 1);
+  EXPECT_EQ(**it, 1);
+  auto mid = q.begin();
+  ++mid;
+  it = q.erase(mid);
+  EXPECT_EQ(**it, 3);
+  std::vector<int> left;
+  for (const auto& p : q) {
+    left.push_back(*p);
+  }
+  EXPECT_EQ(left, (std::vector<int>{1, 3, 4}));
 }
 
 }  // namespace
