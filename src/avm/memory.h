@@ -57,8 +57,9 @@ class GuestMemory {
 
   // Installs page content, resident + clean (page-in from the page server).
   void InstallPage(PageNum page, const Bytes& content);
-  // Installs content, resident + dirty (program load, fork copy): the page
-  // must reach the page account at the next sync.
+  // Installs content, resident + dirty (a forked child's copy): the page
+  // must reach the page account at the next sync. A program load installs
+  // clean pages instead; the executable backs them.
   void InstallPageDirty(PageNum page, const Bytes& content);
   // Marks a page resident, zero-filled, dirty=false on page-in of a page the
   // server never saw (fresh stack/heap). Deterministic across replay.

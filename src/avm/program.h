@@ -5,6 +5,9 @@
 // deterministic, which is what lets a pre-first-sync backup recover by
 // simply re-running the image against the saved message queue (§7.7: head-
 // of-family backups exist from creation but hold no pages until first sync).
+// Pages load clean: the image stays the backing store of every page the
+// process never writes, so syncs ship only written pages and a rollforward
+// takes the others back from the image (AvmBody::InstallPage).
 
 #ifndef AURAGEN_SRC_AVM_PROGRAM_H_
 #define AURAGEN_SRC_AVM_PROGRAM_H_

@@ -335,11 +335,17 @@ void Kernel::TakeOver(BackupPcb b) {
 
   if (b.is_server) {
     p.body = std::make_unique<NativeBody>(env_.MakeServerProgram(pid), /*paged_ft=*/true);
-  } else if (b.has_sync) {
-    p.body = std::make_unique<AvmBody>(Executable{});
   } else {
-    ByteReader r(b.exe);
-    p.exe = Executable::Deserialize(r);
+    // Restart and rollforward alike keep the image: a rollforward faults
+    // every page the process never wrote back in from it. A forked child's
+    // backup, born at its first sync, holds no image; its pages all reached
+    // the page account at that sync.
+    Executable exe;
+    if (!b.exe.empty()) {
+      ByteReader r(b.exe);
+      exe = Executable::Deserialize(r);
+    }
+    p.exe = std::make_shared<const Executable>(std::move(exe));
     p.body = std::make_unique<AvmBody>(p.exe);
   }
 
@@ -348,7 +354,8 @@ void Kernel::TakeOver(BackupPcb b) {
     p.body->RestoreContext(kctx.body_context);
     if (checkpoint_mode) {
       // §2 baseline: state comes from the shipped checkpoint images, not
-      // from a page server; untouched pages zero-fill locally.
+      // from a page server; pages outside them keep the loaded image, and
+      // untouched pages past it zero-fill locally.
       for (const auto& [page, content] : b.ckpt_pages) {
         p.body->InstallPage(page, /*known=*/true, content);
       }
@@ -501,9 +508,11 @@ void Kernel::CreateReplacementBackup(Pcb& pcb, const Bytes& sync_context) {
   body.sync_seq = pcb.sync_seq;
   body.context = sync_context;
   body.sig_handler = pcb.sig_handler;
-  if (!pcb.is_server && !pcb.ever_synced) {
+  if (!pcb.is_server) {
+    // Synced or not, the image travels: a later rollforward at the new
+    // backup faults unwritten image pages in from it.
     ByteWriter w;
-    pcb.exe.Serialize(w);
+    pcb.exe->Serialize(w);
     body.exe = w.Take();
   }
   for (const auto& [fd, binding] : pcb.fds) {

@@ -99,8 +99,8 @@ Gpid Kernel::Spawn(SpawnSpec spec) {
     p.is_server = true;
     p.body = std::make_unique<NativeBody>(std::move(spec.native), spec.native_paged_ft);
   } else {
-    p.exe = spec.exe;
-    p.body = std::make_unique<AvmBody>(spec.exe);
+    p.exe = std::make_shared<const Executable>(std::move(spec.exe));
+    p.body = std::make_unique<AvmBody>(p.exe);
   }
 
   if (spec.server_backup) {

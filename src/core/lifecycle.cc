@@ -200,7 +200,7 @@ void Kernel::SendBackupSkeleton(const Pcb& pcb) {
   body.is_server = pcb.is_server;
   if (!pcb.is_server) {
     ByteWriter w;
-    pcb.exe.Serialize(w);
+    pcb.exe->Serialize(w);
     body.exe = w.Take();
   }
   Msg msg;

@@ -53,9 +53,10 @@ struct Metrics {
   SimTime checkpoint_stall_us = 0;
 
   // Paging (§7.6).
-  uint64_t page_writes = 0;
+  uint64_t page_writes = 0;            // page images landed on page-server disks
   uint64_t page_faults_served = 0;
-  uint64_t page_fault_zero_fills = 0;
+  uint64_t page_fault_zero_fills = 0;  // page-ins answered "unknown": filled from
+                                       // the image, or zeros past its end
 
   // Recovery (§7.10).
   uint64_t crashes_handled = 0;

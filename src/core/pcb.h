@@ -85,7 +85,9 @@ struct Pcb {
   ClusterId primary_cluster = kNoCluster;  // server_backup: where the primary runs
 
   std::unique_ptr<Body> body;
-  Executable exe;                   // for forks and pre-first-sync recovery
+  // The loaded image, shared with the body and forked children: it backs
+  // every image page the process has not written (§7.7).
+  std::shared_ptr<const Executable> exe;
 
   ProcState state = ProcState::kReady;
   bool dispatched = false;          // currently occupying a work processor
@@ -164,7 +166,8 @@ struct BackupPcb {
   Bytes context;                    // body context as of last sync
   uint32_t sig_handler = 0;
   std::map<Fd, ChannelId> fds;      // bindings as of last sync
-  Bytes exe;                        // serialized Executable
+  Bytes exe;                        // serialized Executable: the restart image
+                                    // and the backing of unwritten image pages
 
   bool is_server = false;
   bool peripheral = false;

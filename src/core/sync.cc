@@ -632,6 +632,16 @@ void Kernel::ForceCheckpoint(Pcb& pcb) {
   w.U64(pcb.pid.value);
   w.U8(full ? 1 : 0);
   w.Blob(CaptureKernelContext(pcb));
+  // The first checkpoint carries the image (the skeleton's role under the
+  // message system): it backs the pages no checkpoint ships.
+  Bytes exe;
+  if (!pcb.ever_synced && pcb.exe != nullptr) {
+    ByteWriter ew;
+    pcb.exe->Serialize(ew);
+    exe = ew.Take();
+  }
+  w.Blob(exe);
+  pcb.ever_synced = true;
 
   // Channel records (fd bindings + queue-trim counts), as in sync.
   std::vector<SyncChannelRecord> records;
@@ -708,6 +718,7 @@ void Kernel::ApplyCheckpointAtBackup(const MsgView& msg) {
   pid.value = r.U64();
   bool full = r.U8() != 0;
   Bytes context = r.Blob();
+  Bytes exe = r.Blob();
   auto [it, created] = backups_.try_emplace(pid);
   BackupPcb& b = it->second;
   if (created) {
@@ -717,6 +728,9 @@ void Kernel::ApplyCheckpointAtBackup(const MsgView& msg) {
   b.primary_cluster = msg.header.src_pid.origin_cluster();
   b.has_sync = true;
   b.context = std::move(context);
+  if (!exe.empty()) {
+    b.exe = std::move(exe);
+  }
 
   uint32_t nrec = r.U32();
   for (uint32_t i = 0; i < nrec; ++i) {
@@ -739,6 +753,10 @@ void Kernel::ApplyCheckpointAtBackup(const MsgView& msg) {
     for (uint32_t k = 0; k < reads && !entry->queue.empty(); ++k) {
       entry->queue.pop_front();
     }
+    // As at a sync (§7.8 step 4): a rollforward from this checkpoint
+    // re-sends only what was written after it, so only those sends may be
+    // suppressed (§5.4).
+    entry->writes_since_sync = 0;
   }
 
   if (full) {

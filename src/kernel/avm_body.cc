@@ -4,11 +4,12 @@
 
 namespace auragen {
 
-AvmBody::AvmBody(const Executable& exe) {
-  for (PageNum p = 0; p < exe.NumPages(); ++p) {
-    mem_.InstallPageDirty(p, exe.PageContent(p));
+AvmBody::AvmBody(std::shared_ptr<const Executable> exe) : exe_(std::move(exe)) {
+  AURAGEN_CHECK(exe_ != nullptr) << "AvmBody without an executable";
+  for (PageNum p = 0; p < exe_->NumPages(); ++p) {
+    mem_.InstallPage(p, exe_->PageContent(p));
   }
-  ctx_.pc = exe.entry;
+  ctx_.pc = exe_->entry;
   ctx_.regs[kSpReg] = kStackTop;
 }
 
@@ -200,8 +201,12 @@ void AvmBody::EvictAllPages() {
 void AvmBody::InstallPage(PageNum page, bool known, const Bytes& content) {
   if (known) {
     mem_.InstallPage(page, content);
+  } else if (page < exe_->NumPages()) {
+    // The page server never saw it, so the process never wrote it since
+    // load: the executable backs it, clean.
+    mem_.InstallPage(page, exe_->PageContent(page));
   } else {
-    // The page server never saw it: deterministic zero fill. Mark dirty only
+    // Past the image and never seen: deterministic zero fill. Mark dirty only
     // when materialized locally during normal execution so it reaches the
     // account at the next sync; a server-mediated zero page is already
     // "known missing" and stays clean until written.

@@ -19,9 +19,11 @@ namespace auragen {
 
 class AvmBody : public Body {
  public:
-  // Loads the image at address 0 with pages marked dirty (they must reach
-  // the page account at the first sync), pc at entry, sp at the stack top.
-  explicit AvmBody(const Executable& exe);
+  // Loads the image at address 0 with its pages clean, pc at entry, sp at
+  // the stack top. The executable backs every image page the process has
+  // not written (§7.7 keeps it at the backup), so a sync ships only written
+  // pages. `exe` is shared with the PCB and any forked child, never copied.
+  explicit AvmBody(std::shared_ptr<const Executable> exe);
 
   BodyRun Run(uint64_t budget) override;
   void CompleteSyscall(SyscallResult result) override;
@@ -55,9 +57,10 @@ class AvmBody : public Body {
   // handler returns — the AVM equivalent of UNIX's restartable syscalls.
   void AbortBlockedSyscall();
 
-  // Fork support: clones memory and registers; the parent's clone sees
-  // `parent_rv` in r0, the child's sees 0. All of the child's pages are
-  // dirty so its first sync builds a complete page account (§7.7).
+  // Fork support: clones memory and registers and shares the executable;
+  // the parent's clone sees `parent_rv` in r0, the child's sees 0. All of
+  // the child's resident pages are dirty so its first sync builds a complete
+  // page account (§7.7).
   std::unique_ptr<AvmBody> CloneForFork(uint32_t parent_rv);
 
   // Test/diagnostic access.
@@ -73,6 +76,7 @@ class AvmBody : public Body {
   // re-trap after page-in).
   std::optional<BodyRun> MaterializeSyscall(uint32_t sys_num, uint64_t work);
 
+  std::shared_ptr<const Executable> exe_;
   CpuContext ctx_;
   GuestMemory mem_;
 
@@ -88,7 +92,8 @@ class AvmBody : public Body {
 
   // During normal execution a fault means fresh stack/heap growth; zero-fill
   // locally. After EvictAllPages (recovery) every fault must consult the
-  // page server (§7.10.2), which owns the known/zero decision.
+  // page server (§7.10.2), which owns the known/unknown decision; an unknown
+  // page comes from the image when it lies inside it.
   bool demand_from_server_ = false;
 };
 

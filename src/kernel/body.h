@@ -104,7 +104,8 @@ class Body {
   // Recovery: drop all pages; subsequent Runs fault them back in.
   virtual void EvictAllPages() = 0;
   // Page-in. `known=false` means the page server never saw this page: the
-  // body materializes it deterministically (zero fill).
+  // body materializes it deterministically (an AVM body from its image
+  // inside it, zero fill past it).
   virtual void InstallPage(PageNum page, bool known, const Bytes& content) = 0;
 
   // True after EvictAllPages: faults must be resolved through the page

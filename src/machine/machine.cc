@@ -181,6 +181,15 @@ void ClusterEnv::DiskWriteMulti(Gpid server, DiskWriteBatch batch,
     for (const auto& [block, data] : batch) {
       metrics_.fileserver_disk_bytes += data.size();
     }
+  } else if (machine_.IsPageShard(server)) {
+    // A page server's group write: its images count once, when they land.
+    // The completion runs on this cluster's shard, which owns metrics_.
+    done = [this, images = batch.size(), done = std::move(done)](Result<void> r) {
+      if (r.ok()) {
+        metrics_.page_writes += images;
+      }
+      done(r);
+    };
   }
   machine_.DiskWriteMultiFrom(cluster_, server, std::move(batch), std::move(done));
 }

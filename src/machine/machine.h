@@ -294,6 +294,9 @@ class Machine {
   // Page-server shard s is pid Make(32, 5 + s); kPagePid is shard 0.
   static constexpr Gpid kPagePid = Gpid::Make(32, 5);
   static constexpr Gpid PageShardPid(uint32_t shard) { return Gpid::Make(32, 5 + shard); }
+  bool IsPageShard(Gpid pid) const {
+    return pid.value - kPagePid.value < page_shard_count();  // wraps below kPagePid
+  }
 
  private:
   friend class ClusterEnv;

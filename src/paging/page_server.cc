@@ -309,7 +309,7 @@ SyscallRequest PageServerProgram::ServePageRequest(uint64_t channel, ByteView bo
   reply.cookie = cur_cookie_;
   auto ait = backup_.find(cur_pid_);
   if (ait == backup_.end()) {
-    return Reply(reply, channel);  // never synced: zero fill at the faulting kernel
+    return Reply(reply, channel);  // never synced: the faulting body fills it
   }
   auto pit = ait->second.pages.find(cur_page_);
   if (pit == ait->second.pages.end()) {
@@ -421,7 +421,7 @@ SyscallRequest PageServerProgram::Next(const SyscallResult& prev, bool first) {
         reply.content = prev.data;
         reply.content.resize(kAvmPageBytes, 0);
       } else {
-        reply.known = false;  // double disk failure; zero-fill beats hanging
+        reply.known = false;  // double disk failure; an image/zero fill beats hanging
       }
       if (options_.tracer != nullptr) {
         options_.tracer->Record(TraceEventKind::kPageServe, kNoCluster, cur_pid_.value, 0,

@@ -86,7 +86,7 @@ TEST(GuestMemory, ExtractInstallRoundTrip) {
 CpuContext RunProgram(const std::string& src, GuestMemory* mem_out = nullptr,
                       int max_steps = 100000) {
   Executable exe = MustAssemble(src);
-  AvmBody body(exe);
+  AvmBody body(std::make_shared<const Executable>(exe));
   CpuContext ctx = body.context();
   GuestMemory& mem = body.memory();
   for (int i = 0; i < max_steps; ++i) {
@@ -198,7 +198,7 @@ TEST(Cpu, DivideByZeroFaults) {
     div r3, r1, r2
     halt
 )");
-  AvmBody body(exe);
+  AvmBody body(std::make_shared<const Executable>(exe));
   CpuContext ctx = body.context();
   Step(ctx, body.memory());
   Step(ctx, body.memory());
@@ -218,7 +218,7 @@ TEST(Cpu, IllegalOpcodeFaults) {
 
 TEST(Cpu, SyscallTrapAdvancesPc) {
   Executable exe = MustAssemble("sys yield\nhalt\n");
-  AvmBody body(exe);
+  AvmBody body(std::make_shared<const Executable>(exe));
   CpuContext ctx = body.context();
   StepResult r = Step(ctx, body.memory());
   EXPECT_EQ(r.kind, StepKind::kSyscall);
@@ -247,7 +247,7 @@ TEST(Cpu, PageFaultHasNoSideEffects) {
     st r1, r2, 0
     halt
 )");
-  AvmBody body(exe);
+  AvmBody body(std::make_shared<const Executable>(exe));
   CpuContext ctx = body.context();
   GuestMemory& mem = body.memory();
   Step(ctx, mem);
@@ -506,7 +506,7 @@ TEST(RunToTrap, StopsAtBadPcIllegalOpAndDivideByZero) {
     div r3, r1, r2
     halt
 )");
-  AvmBody body(exe);
+  AvmBody body(std::make_shared<const Executable>(exe));
   CpuContext ctx = body.context();
   uint64_t retired = 0;
   StepResult r = RunBoth(ctx, body.memory(), 100, &retired);
@@ -538,7 +538,7 @@ TEST(AvmBody, BunchCountPastAddressSpaceFaults) {
     sys bunch
     halt
 )");
-  AvmBody body(exe);
+  AvmBody body(std::make_shared<const Executable>(exe));
   BodyRun run = body.Run(1000);
   ASSERT_EQ(run.kind, BodyRun::Kind::kFault);
   EXPECT_STREQ(run.fault_reason, "syscall buffer out of range");
@@ -550,7 +550,7 @@ TEST(AvmBody, BunchCountPastAddressSpaceFaults) {
     sys bunch
     halt
 )");
-  AvmBody fine(ok);
+  AvmBody fine(std::make_shared<const Executable>(ok));
   run = fine.Run(1000);
   while (run.kind == BodyRun::Kind::kPageFault) {
     fine.InstallPage(run.fault_page, /*known=*/false, {});
@@ -569,7 +569,7 @@ TEST(AvmBody, ForkClonesMemoryAndDiffersR0) {
     sys fork
     halt
 )");
-  AvmBody parent(exe);
+  AvmBody parent(std::make_shared<const Executable>(exe));
   BodyRun run = parent.Run(1000);
   while (run.kind == BodyRun::Kind::kPageFault) {
     parent.InstallPage(run.fault_page, /*known=*/false, {});
@@ -587,13 +587,40 @@ TEST(AvmBody, ForkClonesMemoryAndDiffersR0) {
   EXPECT_FALSE(child->memory().DirtyPages().empty());
 }
 
+TEST(AvmBody, ImagePagesLoadCleanAndRefillFromTheImage) {
+  Executable exe = MustAssemble(R"(
+    halt
+.data
+pad: .space 300
+tail: .ascii "image"
+)");
+  ASSERT_EQ(exe.NumPages(), 2u);
+  AvmBody body(std::make_shared<const Executable>(exe));
+  // Loaded clean: nothing to ship until the program writes.
+  EXPECT_TRUE(body.memory().DirtyPages().empty());
+  EXPECT_EQ(body.PageContent(1), exe.PageContent(1));
+
+  // Recovery: a page the server does not know comes from the image inside
+  // it (clean) and is zero-filled past it.
+  body.EvictAllPages();
+  body.InstallPage(1, /*known=*/false, {});
+  EXPECT_EQ(body.PageContent(1), exe.PageContent(1));
+  body.InstallPage(7, /*known=*/false, {});
+  EXPECT_EQ(body.PageContent(7), Bytes(kAvmPageBytes, 0));
+  EXPECT_TRUE(body.memory().DirtyPages().empty());
+  // A known page wins over the image.
+  Bytes written(kAvmPageBytes, 9);
+  body.InstallPage(0, /*known=*/true, written);
+  EXPECT_EQ(body.PageContent(0), written);
+}
+
 TEST(AvmBody, SignalSpillAndReturn) {
   Executable exe = MustAssemble(R"(
     li r1, 5
     li r2, 6
     halt
 )");
-  AvmBody body(exe);
+  AvmBody body(std::make_shared<const Executable>(exe));
   BodyRun run = body.Run(1);  // executed li r1,5
   ASSERT_EQ(run.kind, BodyRun::Kind::kBudget);
   CpuContext before = body.context();
@@ -610,7 +637,7 @@ TEST(AvmBody, CaptureRewindsBlockedSyscall) {
     sys read
     halt
 )");
-  AvmBody body(exe);
+  AvmBody body(std::make_shared<const Executable>(exe));
   BodyRun run = body.Run(100);
   ASSERT_EQ(run.kind, BodyRun::Kind::kSyscall);
   // Blocked in read: capture rewinds to the SYS instruction.
@@ -620,7 +647,7 @@ TEST(AvmBody, CaptureRewindsBlockedSyscall) {
   EXPECT_EQ(captured.pc, kAvmInstrBytes);  // the SYS, not past it
 
   // A restored body re-issues the identical read.
-  AvmBody restored(exe);
+  AvmBody restored(std::make_shared<const Executable>(exe));
   restored.RestoreContext(ctx_blob);
   BodyRun again = restored.Run(100);
   ASSERT_EQ(again.kind, BodyRun::Kind::kSyscall);

@@ -152,8 +152,10 @@ spin:
   EXPECT_TRUE(program->PrimaryHasPage(pid, 0x4000 / kAvmPageBytes));
   EXPECT_TRUE(program->BackupHasPage(pid, 0x4000 / kAvmPageBytes));
   EXPECT_TRUE(program->BackupHasPage(pid, 0x5000 / kAvmPageBytes));
-  // Text page 0 shipped at first sync too.
-  EXPECT_TRUE(program->BackupHasPage(pid, 0));
+  // Text page 0 was never written: the executable backs it, so the first
+  // sync does not ship it (only written pages reach the account).
+  EXPECT_FALSE(program->PrimaryHasPage(pid, 0));
+  EXPECT_FALSE(program->BackupHasPage(pid, 0));
 }
 
 TEST(FtSemantics, CheckpointFullBaselineRunsAndStalls) {

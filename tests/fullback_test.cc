@@ -88,6 +88,61 @@ TEST(Fullback, SurvivesTwoSequentialFailures) {
   EXPECT_GE(machine.metrics().takeovers, 2u);
 }
 
+TEST(Fullback, ImageTravelsWithTheReplacementBackup) {
+  // The replacement backup is created after syncs, so it rolls forward, not
+  // restarts; it still needs the image for the pages no sync shipped. Output
+  // comes from a table in a never-written image page.
+  Executable exe = MustAssemble(R"(
+start:
+    li r8, 0
+rounds:
+    li r9, 0
+spin:
+    addi r9, r9, 1
+    li r10, 9000
+    blt r9, r10, spin
+    li r11, table
+    add r11, r11, r8
+    ldb r10, r11, 0
+    li r11, digit
+    stb r10, r11, 0
+    li r1, 2
+    li r2, digit
+    li r3, 1
+    sys write
+    addi r8, r8, 1
+    li r10, 12
+    blt r8, r10, rounds
+    exit 7
+.data
+digit: .byte 0
+pad: .space 512
+table: .ascii "ImageBacked!"
+)");
+  Machine machine(ThreeClusters());
+  machine.Boot();
+  Machine::UserSpawnOptions opts;
+  opts.with_tty = true;
+  opts.mode = BackupMode::kFullback;
+  opts.backup_cluster = 1;
+  Gpid pid = machine.SpawnUserProgram(2, exe, opts);
+
+  machine.Run(60'000);
+  ASSERT_GT(machine.metrics().syncs, 0u);
+  machine.CrashCluster(2);  // takeover at 1, replacement backup at 0
+  machine.Run(80'000);
+  const BackupPcb* replacement = machine.kernel(0).FindBackup(pid);
+  ASSERT_NE(replacement, nullptr);
+  EXPECT_TRUE(replacement->has_sync);
+  EXPECT_FALSE(replacement->exe.empty());
+  machine.CrashCluster(1);  // second takeover, from the replacement
+  ASSERT_TRUE(machine.RunUntilAllExited(120'000'000));
+  machine.Settle();
+  EXPECT_EQ(machine.ExitStatus(pid), 7);
+  EXPECT_EQ(machine.TtyOutput(0), "ImageBacked!");
+  EXPECT_GE(machine.metrics().takeovers, 2u);
+}
+
 TEST(Fullback, QuarterbackDiesOnSecondFailure) {
   Machine machine(ThreeClusters());
   machine.Boot();

@@ -210,13 +210,16 @@ TEST(MachineSmoke, SyncsHappenDuringExecution) {
   Machine machine(TwoClusters());
   machine.Boot();
   // A loop that reads nothing but runs long enough to trip the time-based
-  // sync trigger (§5.2).
+  // sync trigger (§5.2), storing its counter to a data page so each sync
+  // has a written page to ship (unwritten image pages never ship).
   Executable prog = MustAssemble(R"(
 start:
     li r2, 0
     li r3, 200000
+    li r4, 0x4000
 loop:
     addi r2, r2, 1
+    st r2, r4, 0
     blt r2, r3, loop
     exit 0
 )");

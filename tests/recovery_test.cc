@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "src/avm/assembler.h"
+#include "src/kernel/native_body.h"
 #include "src/machine/machine.h"
+#include "src/paging/page_server.h"
 
 namespace auragen {
 namespace {
@@ -43,6 +45,42 @@ spin:
 digit: .byte 0
 )";
   return MustAssemble(src);
+}
+
+// Worker whose output lives in the image: one round per character of
+// `text`, each {spin, copy text[round] to `digit`, print it}; exits 7. The
+// program text fills page 0, `digit` sits in page 1 and the table in page 3,
+// and the program writes only `digit`: after a rollforward the text and the
+// table come back from the executable, not from the page account.
+Executable TableWorker(const std::string& text, uint32_t spin) {
+  return MustAssemble(R"(
+start:
+    li r8, 0
+rounds:
+    li r9, 0
+spin:
+    addi r9, r9, 1
+    li r10, )" + std::to_string(spin) + R"(
+    blt r9, r10, spin
+    li r11, table
+    add r11, r11, r8
+    ldb r10, r11, 0
+    li r11, digit
+    stb r10, r11, 0
+    li r1, 2
+    li r2, digit
+    li r3, 1
+    sys write
+    addi r8, r8, 1
+    li r10, )" + std::to_string(text.size()) + R"(
+    blt r8, r10, rounds
+    exit 7
+.data
+lead: .space 256
+digit: .byte 0
+pad: .space 512
+table: .ascii ")" + text + R"("
+)");
 }
 
 TEST(Recovery, WorkerSurvivesClusterCrash) {
@@ -232,6 +270,80 @@ out: .byte 0
   EXPECT_EQ(machine.ExitStatus(ping), 0);
   EXPECT_EQ(machine.ExitStatus(pong), 0);
   EXPECT_EQ(machine.TtyOutput(0), "A");  // 20 + 45 = 'A'
+}
+
+// Runs TableWorker(text) on cluster 1 of a two-cluster machine under
+// `options`, crashing cluster 1 at +crash_at (0 = never); returns the tty
+// transcript after checking the exit status.
+std::string RunTableWorker(MachineOptions options, const std::string& text,
+                           SimTime crash_at) {
+  Machine machine(options);
+  machine.Boot();
+  Machine::UserSpawnOptions opts;
+  opts.with_tty = true;
+  opts.backup_cluster = 0;
+  Gpid pid = machine.SpawnUserProgram(1, TableWorker(text, 6000), opts);
+  if (crash_at != 0) {
+    machine.Run(crash_at);
+    machine.CrashCluster(1);
+  }
+  EXPECT_TRUE(machine.RunUntilAllExited(60'000'000));
+  machine.Settle();
+  EXPECT_EQ(machine.ExitStatus(pid), 7);
+  if (crash_at != 0) {
+    EXPECT_GE(machine.metrics().takeovers, 1u);
+  }
+  return machine.TtyOutput(0);
+}
+
+TEST(Recovery, RollforwardFaultsUnwrittenImagePagesFromTheImage) {
+  const std::string text = "ImageBack!";
+  const Executable exe = TableWorker(text, 6000);
+  ASSERT_EQ(exe.NumPages(), 4u);  // text, digit, pad, table
+
+  Machine machine(TwoClusters());
+  machine.Boot();
+  Machine::UserSpawnOptions opts;
+  opts.with_tty = true;
+  opts.backup_cluster = 0;
+  Gpid pid = machine.SpawnUserProgram(1, exe, opts);
+  machine.Run(45'000);
+  ASSERT_GT(machine.metrics().syncs, 0u);
+  // The syncs so far shipped only written pages: neither the text nor the
+  // table is in the page account, while the page holding `digit` is.
+  Pcb* ps = machine.kernel(machine.page_server_addr().primary).FindProcess(Machine::kPagePid);
+  ASSERT_NE(ps, nullptr);
+  auto* program =
+      dynamic_cast<PageServerProgram*>(&dynamic_cast<NativeBody*>(ps->body.get())->program());
+  ASSERT_NE(program, nullptr);
+  EXPECT_FALSE(program->BackupHasPage(pid, 0));
+  EXPECT_TRUE(program->BackupHasPage(pid, 1));
+  EXPECT_FALSE(program->BackupHasPage(pid, 2));
+  EXPECT_FALSE(program->BackupHasPage(pid, 3));
+
+  machine.CrashCluster(1);
+  ASSERT_TRUE(machine.RunUntilAllExited(60'000'000));
+  machine.Settle();
+  EXPECT_EQ(machine.ExitStatus(pid), 7);
+  EXPECT_EQ(machine.TtyOutput(0), text);
+  EXPECT_EQ(machine.TtyOutput(0), RunTableWorker(TwoClusters(), text, 0));
+  EXPECT_EQ(machine.TtyDuplicates(), 0u);
+  // The text and table came back as "unknown" page-ins filled from the image.
+  EXPECT_GT(machine.metrics().page_fault_zero_fills, 0u);
+}
+
+TEST(Recovery, CheckpointTakeoverKeepsTheImage) {
+  // §2 baselines: the first checkpoint carries the image, which backs every
+  // page no checkpoint shipped (the incremental one ships written pages only).
+  for (FtStrategy strategy : {FtStrategy::kCheckpointIncremental, FtStrategy::kCheckpointFull}) {
+    MachineOptions options = TwoClusters();
+    options.config.strategy = strategy;
+    options.config.sync_time_limit_us = 8'000;  // checkpoint often
+    const std::string expected = RunTableWorker(options, "Checkpoint", 0);
+    ASSERT_EQ(expected, "Checkpoint") << FtStrategyName(strategy);
+    EXPECT_EQ(RunTableWorker(options, "Checkpoint", 40'000), expected)
+        << FtStrategyName(strategy);
+  }
 }
 
 TEST(Recovery, DeterministicAcrossSeedsAndCrashPoints) {
