@@ -10,15 +10,13 @@
 //   commits          durable commit records over the run
 //   blocks_per_commit mean batch size a commit carried
 //   speedup          group-commit sim-time speedup over per-op commit
-//   digest_ok        1 iff machine-threads {2,4} reproduce the threads=1
-//                    trace digest bit for bit
 //
 // Correctness is load-bearing: every run asserts zero read-back mismatches
 // (the churners verify their own writes), and the speedup row AURAGEN_CHECKs
 // the >= 2x claim — a journal that lost its batching would abort the bench,
 // not just slow it down. Simulated counters are deterministic for the fixed
-// seed, so check_bench.py gates write_p99_us and digest_ok (gated_counters)
-// on top of the wall-clock gate.
+// seed, so check_bench.py gates write_p99_us (gated_counters) on top of the
+// wall-clock gate.
 
 #include <benchmark/benchmark.h>
 
@@ -44,15 +42,12 @@ struct ChurnResult {
   SimTime queue_p99_us = 0;
   uint64_t commits = 0;
   double blocks_per_commit = 0;
-  uint64_t digest_hash = 0;
-  uint64_t digest_count = 0;
 };
 
-ChurnResult RunChurn(uint32_t sync_every_ops, uint32_t threads) {
+ChurnResult RunChurn(uint32_t sync_every_ops) {
   MachineOptions options;
   options.config.num_clusters = 2;
   options.seed = 1;
-  options.engine_threads = threads;
   options.file_server.sync_every_ops = sync_every_ops;
   options.trace.enabled = true;
   options.trace.unbounded = true;
@@ -85,15 +80,13 @@ ChurnResult RunChurn(uint32_t sync_every_ops, uint32_t threads) {
   r.queue_p99_us = a.disk_queue_wait.p99();
   r.commits = a.fs_log_commits;
   r.blocks_per_commit = a.fs_commit_blocks.mean_us();
-  r.digest_hash = machine.tracer()->digest().hash;
-  r.digest_count = machine.tracer()->digest().count;
   return r;
 }
 
 void BM_JournalWriteThroughput(benchmark::State& state) {
   const uint32_t every = static_cast<uint32_t>(state.range(0));
   for (auto _ : state) {
-    ChurnResult r = RunChurn(every, /*threads=*/1);
+    ChurnResult r = RunChurn(every);
     state.counters["ops_per_s"] =
         r.sim_us > 0 ? static_cast<double>(r.writes) * 1e6 / static_cast<double>(r.sim_us)
                      : 0;
@@ -110,8 +103,8 @@ void BM_JournalWriteThroughput(benchmark::State& state) {
 // the same workload, with zero lost writes on either side.
 void BM_JournalGroupCommitSpeedup(benchmark::State& state) {
   for (auto _ : state) {
-    ChurnResult per_op = RunChurn(1, 1);
-    ChurnResult grouped = RunChurn(16, 1);
+    ChurnResult per_op = RunChurn(1);
+    ChurnResult grouped = RunChurn(16);
     const double speedup =
         static_cast<double>(per_op.sim_us) / static_cast<double>(grouped.sim_us);
     AURAGEN_CHECK(speedup >= 2.0)
@@ -122,29 +115,9 @@ void BM_JournalGroupCommitSpeedup(benchmark::State& state) {
   }
 }
 
-// Determinism oracle: the same journaled workload at 2 and 4 shard-worker
-// threads must reproduce the sequential trace digest bit for bit.
-void BM_JournalDigest(benchmark::State& state) {
-  const uint32_t threads = static_cast<uint32_t>(state.range(0));
-  ChurnResult want = RunChurn(16, 1);
-  ChurnResult got;
-  for (auto _ : state) {
-    got = RunChurn(16, threads);
-  }
-  const bool digest_ok =
-      got.digest_hash == want.digest_hash && got.digest_count == want.digest_count;
-  if (!digest_ok) {
-    state.SkipWithError("parallel run diverged from the sequential digest");
-  }
-  state.counters["digest_ok"] = digest_ok ? 1 : 0;
-  state.counters["threads"] = threads;
-}
-
 BENCHMARK(BM_JournalWriteThroughput)->Arg(1)->Arg(4)->Arg(16)
     ->Iterations(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_JournalGroupCommitSpeedup)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_JournalDigest)->ArgName("threads")->Arg(2)->Arg(4)
-    ->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace auragen::bench

@@ -71,8 +71,8 @@ inline bool operator==(ByteView a, ByteView b) {
 // the pool — it only changes where a buffer's storage comes from, never its
 // contents.
 //
-// The simulation is single-threaded; the pool is thread-local so parallel
-// test shards can never race on it.
+// Each simulation is single-threaded; the pool is thread-local so the seed
+// workers of a campaign, each running its own machine, never race on it.
 class BufferPool {
  public:
   static BufferPool& Get();

@@ -147,9 +147,9 @@ void Fabric::RestoreSwitch(SegmentId s) {
   AURAGEN_CHECK(s < switches_.size()) << "no switch on a single-segment fabric";
   switches_[s]->Restore();
   // Inbound copies that arrived at the trunk during the partition drain in
-  // trunk order. Control context: every shard is parked, and the posts
-  // carry the full store-and-forward latency, so the drain is race-free and
-  // lands ahead of (or tied with) any copy sequenced after the restore.
+  // trunk order. Control context: no shard is mid-window, and the posts
+  // carry the full store-and-forward latency, so the drain lands ahead of
+  // (or tied with) any copy sequenced after the restore.
   auto& held = trunk_held_[s];
   while (!held.empty()) {
     auto [frame, urgent] = std::move(held.front());

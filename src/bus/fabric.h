@@ -25,7 +25,7 @@
 // Determinism: the trunk lives on the shared shard (kSharedShard), where
 // barrier drain order makes its sequence numbers a pure function of the
 // per-shard schedules — the same mechanism that already made single-bus
-// frame ids deterministic. Digests are bit-identical at any thread count.
+// frame ids deterministic.
 //
 // Single-segment topologies build exactly one bus, no switches and no
 // trunk, with the historical shard-0 binding and frame-id sequence: every

@@ -161,8 +161,8 @@ class InterclusterBus {
   void InjectAtomicityViolation(AtomicityViolation mode, double probability, uint64_t seed);
 
   // Aggregated on read: per-destination delivery counts are kept per
-  // cluster slot (each written only by its own shard on the parallel
-  // machine) and summed here.
+  // cluster slot (each written only by its own cluster's shard) and summed
+  // here.
   BusStats stats() const;
   void ResetStats();
   uint32_t num_clusters() const { return static_cast<uint32_t>(endpoints_.size()); }

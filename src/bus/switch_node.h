@@ -12,7 +12,7 @@
 // switch until a restore, preserving §5.1's all-or-none property in the
 // eventual sense (a partitioned segment's multicasts are late, not
 // partial). Fail/Restore fire only from machine control events (between
-// engine windows, every shard parked), so the ok flag is race-free.
+// engine windows), so no shard sees the ok flag change mid-window.
 
 #ifndef AURAGEN_SRC_BUS_SWITCH_NODE_H_
 #define AURAGEN_SRC_BUS_SWITCH_NODE_H_

@@ -88,8 +88,10 @@ struct Metrics {
 
   // Folds another cluster's metrics into this one. Counters and durations
   // add; the machine-wide last_* stamps take the latest across clusters.
-  // The parallel machine keeps one Metrics per cluster shard (so kernels
-  // never write a shared object across shards) and aggregates on read.
+  // The machine keeps one Metrics per cluster for attribution: each
+  // kernel counts into its own (Machine::cluster_metrics, and a kernel
+  // reads its own cluster's last_crash_detected_at), and the machine-wide
+  // view is aggregated on read.
   void Accumulate(const Metrics& o) {
     messages_sent += o.messages_sent;
     deliveries_primary += o.deliveries_primary;

@@ -175,7 +175,6 @@ RunOutcome RunWorkload(const CampaignWorkload& wl, uint64_t seed, BackupMode mod
   mo.config.sync_policy = opt.sync_policy;
   mo.config.page_shards = opt.page_shards;
   mo.seed = seed;
-  mo.engine_threads = opt.machine_threads;
   // Ring-mode flight recorder: whole-run digest for the determinism replay
   // at bounded memory, and a tail of events if a scenario needs diagnosis.
   mo.trace.enabled = true;
@@ -330,7 +329,6 @@ KvRunOutcome RunKvWorkload(const workload::KvOptions& kv, uint64_t seed,
   mo.config.sync_policy = opt.sync_policy;
   mo.config.page_shards = opt.page_shards;
   mo.seed = seed;
-  mo.engine_threads = opt.machine_threads;
   mo.trace.enabled = true;
   mo.trace.unbounded = false;
   mo.trace.ring_capacity = 4096;
@@ -474,7 +472,6 @@ FileRunOutcome RunFileWorkload(const FileWorkload& wl, uint64_t seed, BackupMode
   // commit records, checkpoints, and syncs.
   mo.file_server.sync_every_ops = 4;
   mo.seed = seed;
-  mo.engine_threads = opt.machine_threads;
   mo.trace.enabled = true;
   mo.trace.unbounded = false;
   mo.trace.ring_capacity = 4096;
@@ -629,7 +626,7 @@ CampaignSummary RunCampaign(uint64_t first_seed, uint64_t count, const CampaignO
                                        : RunScenario(seed, opt);
   };
 
-  uint32_t workers = std::max<uint32_t>(1, opt.engine_threads);
+  uint32_t workers = std::max<uint32_t>(1, opt.seed_threads);
   workers = static_cast<uint32_t>(std::min<uint64_t>(workers, count));
   if (workers <= 1) {
     for (uint64_t i = 0; i < count; ++i) {

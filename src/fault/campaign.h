@@ -62,17 +62,11 @@ struct CampaignOptions {
   // Takes precedence over kv_workload when both are set.
   bool file_workload = false;
   // Worker threads running seeds concurrently. Each seed is still simulated
-  // by its own deterministic single-machine runs, so every ScenarioResult —
-  // including its trace digest — is bit-identical to a threads=1 campaign;
-  // only wall clock changes. Results are aggregated and reported in seed
-  // order regardless of completion order.
-  uint32_t engine_threads = 1;
-  // Worker threads *inside* each machine run (ShardedEngine over the
-  // ShardPlan layout). Orthogonal to engine_threads: that one spreads seeds
-  // over a pool, this one parallelizes the shards of a single simulation.
-  // Digests are bit-identical at any value — the CI cross-check compares a
-  // parallel campaign against machine_threads=1 seed for seed.
-  uint32_t machine_threads = 1;
+  // by its own deterministic single-threaded machine runs, so every
+  // ScenarioResult — including its trace digest — is bit-identical to a
+  // one-worker campaign; only wall clock changes. Results are aggregated
+  // and reported in seed order regardless of completion order.
+  uint32_t seed_threads = 1;
 };
 
 struct ScenarioResult {

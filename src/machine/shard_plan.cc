@@ -7,10 +7,9 @@
 
 namespace auragen {
 
-ShardedEngineOptions ShardPlan::EngineOptions(uint32_t threads) const {
+ShardedEngineOptions ShardPlan::EngineOptions() const {
   ShardedEngineOptions opt;
   opt.num_shards = num_shards;
-  opt.threads = threads;
   opt.lookahead_us = lookahead_us;
   return opt;
 }

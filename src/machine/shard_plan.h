@@ -2,7 +2,7 @@
 // where the conservative lookahead comes from.
 //
 // The plan is the integration seam between the Machine's configuration and
-// the parallel engine (sim/sharded_engine.h): shard 0 hosts every shared
+// the windowed engine (sim/sharded_engine.h): shard 0 hosts every shared
 // component (segment 0's bus arbitration, the fabric trunk, disks, the
 // page/process servers' bus-facing side), shard 1+c hosts cluster c — its
 // work processors, executive, kernel timers — and each additional fabric
@@ -46,8 +46,8 @@ struct ShardPlan {
   }
   ShardId shared_shard() const { return kSharedShard; }
 
-  // Engine options realizing this plan with the given worker count.
-  ShardedEngineOptions EngineOptions(uint32_t threads) const;
+  // Engine options realizing this plan.
+  ShardedEngineOptions EngineOptions() const;
 
   std::string Describe() const;
 };

@@ -15,9 +15,10 @@
 //
 // Every piece of state is owned by exactly one shard (per-cluster
 // accumulators by their cluster, the frame counter by the bus shard), so
-// windows are race-free, and Fingerprint() — a fold over all end-state —
-// must come out bit-identical for every thread count, as must the trace
-// digest (kBusTx on accept, kBusRx per delivery).
+// each window is a function of the shard's own state, and Fingerprint() —
+// a fold over all end-state — must come out bit-identical for every run
+// of the same configuration, as must the trace digest (kBusTx on accept,
+// kBusRx per delivery).
 
 #ifndef AURAGEN_SRC_SIM_CLUSTER_MODEL_H_
 #define AURAGEN_SRC_SIM_CLUSTER_MODEL_H_

@@ -7,9 +7,9 @@
 // architectural invariant (DESIGN.md §4): crash/recovery equivalence tests
 // compare whole-machine traces between runs.
 //
-// For parallel runs the Engine doubles as the per-shard core of
-// ShardedEngine (sharded_engine.h): one Engine per cluster shard, driven
-// window-by-window under conservative synchronization.
+// The Engine doubles as the per-shard core of ShardedEngine
+// (sharded_engine.h): one Engine per cluster shard, driven window-by-window
+// under conservative synchronization.
 
 #ifndef AURAGEN_SRC_SIM_ENGINE_H_
 #define AURAGEN_SRC_SIM_ENGINE_H_

@@ -4,16 +4,6 @@
 
 namespace auragen {
 
-namespace {
-
-// The shard whose callback is executing on this thread. Thread-local rather
-// than a member: worker threads of different engines (parallel campaigns
-// running parallel machines) must not see each other's context.
-thread_local ShardedEngine* tl_engine = nullptr;
-thread_local ShardId tl_shard = kNoShard;
-
-}  // namespace
-
 ShardedEngine::ShardedEngine(ShardedEngineOptions options)
     : lookahead_(options.lookahead_us) {
   AURAGEN_CHECK(options.num_shards >= 1) << "ShardedEngine needs at least one shard";
@@ -23,26 +13,6 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
     shards_.push_back(std::make_unique<Shard>());
   }
   heap_tops_.resize(options.num_shards, kSimForever);
-  threads_ = std::max<uint32_t>(1, std::min(options.threads, options.num_shards));
-  if (threads_ > 1) {
-    workers_.reserve(threads_ - 1);
-    for (uint32_t t = 0; t + 1 < threads_; ++t) {
-      workers_.emplace_back([this] { WorkerLoop(); });
-    }
-  }
-}
-
-ShardedEngine::~ShardedEngine() {
-  if (!workers_.empty()) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      shutdown_ = true;
-    }
-    cv_workers_.notify_all();
-    for (std::thread& w : workers_) {
-      w.join();
-    }
-  }
 }
 
 SimTime ShardedEngine::ShardNow(ShardId shard) const {
@@ -50,15 +20,11 @@ SimTime ShardedEngine::ShardNow(ShardId shard) const {
   return shards_[shard]->core.Now();
 }
 
-ShardId ShardedEngine::CurrentShard() const {
-  return tl_engine == this ? tl_shard : kNoShard;
-}
-
 EventId ShardedEngine::ScheduleOn(ShardId shard, SimTime delay, Task&& fn) {
   AURAGEN_CHECK(shard < shards_.size());
   SimTime base;
-  if (tl_engine == this) {
-    base = shards_[tl_shard]->core.Now();
+  if (current_shard_ != kNoShard) {
+    base = shards_[current_shard_]->core.Now();
   } else {
     base = std::max(now_, shards_[shard]->core.Now());
   }
@@ -67,21 +33,21 @@ EventId ShardedEngine::ScheduleOn(ShardId shard, SimTime delay, Task&& fn) {
 
 EventId ShardedEngine::ScheduleAtOn(ShardId shard, SimTime when, Task&& fn) {
   AURAGEN_CHECK(shard < shards_.size());
-  if (tl_engine == this && tl_shard != shard) {
+  if (current_shard_ != kNoShard && current_shard_ != shard) {
     // Cross-shard schedule from inside a window: the conservative contract.
     // The target shard may already be executing past `when` in this very
     // window, so the post must land at or after the window's end — which any
     // model latency >= lookahead guarantees from any point in the window.
     AURAGEN_CHECK(when >= active_window_end_)
-        << "cross-shard schedule violates the lookahead contract: shard " << tl_shard
+        << "cross-shard schedule violates the lookahead contract: shard " << current_shard_
         << " -> " << shard << " at t=" << when << " inside window ending "
         << active_window_end_ << " (model latency must be >= lookahead)";
-    shards_[tl_shard]->outbox.emplace_back(shard, when, std::move(fn));
+    shards_[current_shard_]->outbox.emplace_back(shard, when, std::move(fn));
     // The destination id is assigned at the barrier drain; handles are only
     // valid for same-shard cancellation anyway, so none is returned.
     return kNoEvent;
   }
-  if (tl_engine != this) {
+  if (current_shard_ == kNoShard) {
     AURAGEN_CHECK(when >= now_) << "scheduling into the past:" << when << "<" << now_;
   }
   return shards_[shard]->core.ScheduleAt(when, std::move(fn));
@@ -89,9 +55,10 @@ EventId ShardedEngine::ScheduleAtOn(ShardId shard, SimTime when, Task&& fn) {
 
 void ShardedEngine::Cancel(ShardId shard, EventId id) {
   AURAGEN_CHECK(shard < shards_.size());
-  if (tl_engine == this) {
-    AURAGEN_CHECK(shard == tl_shard) << "cross-shard Cancel would race; shard " << tl_shard
-                                     << " tried to cancel on shard " << shard;
+  if (current_shard_ != kNoShard) {
+    AURAGEN_CHECK(shard == current_shard_)
+        << "cross-shard Cancel breaks the window contract; shard " << current_shard_
+        << " tried to cancel on shard " << shard;
   }
   shards_[shard]->core.Cancel(id);
 }
@@ -104,7 +71,7 @@ void ShardedEngine::ScheduleControlAt(SimTime when, Task fn) {
 }
 
 void ShardedEngine::SyncShardClocks() {
-  AURAGEN_CHECK(tl_engine == nullptr) << "SyncShardClocks from inside a callback";
+  AURAGEN_CHECK(current_shard_ == kNoShard) << "SyncShardClocks from inside a callback";
   for (auto& sh : shards_) {
     Engine& core = sh->core;
     // Lenient on purpose: after a dispatch-limit halt a core may still hold
@@ -134,8 +101,8 @@ void ShardedEngine::Trace(TraceEventKind kind, ClusterId cluster, uint64_t gpid,
   if (tracer_ == nullptr || !tracer_->WantsKind(kind)) {
     return;
   }
-  if (tl_engine == this) {
-    Shard& sh = *shards_[tl_shard];
+  if (current_shard_ != kNoShard) {
+    Shard& sh = *shards_[current_shard_];
     sh.staged.push_back(Staged{sh.core.Now(), kind, cluster, gpid, channel, a, b});
   } else {
     tracer_->RecordAt(now_, kind, cluster, gpid, channel, a, b);
@@ -150,8 +117,7 @@ void ShardedEngine::RunShardWindow(ShardId shard, SimTime window_end) {
   } else {
     core.set_dispatch_limit(0);
   }
-  tl_engine = this;
-  tl_shard = shard;
+  current_shard_ = shard;
   // Dispatch everything strictly before the window end. The pop path
   // discards cancelled leftovers as they surface, so this also keeps the
   // heap tidy.
@@ -163,66 +129,7 @@ void ShardedEngine::RunShardWindow(ShardId shard, SimTime window_end) {
   } else {
     sh.window_events = core.RunBefore(window_end);
   }
-  tl_engine = nullptr;
-  tl_shard = kNoShard;
-}
-
-void ShardedEngine::RunShardTickets(SimTime window_end) {
-  uint32_t shard;
-  while ((shard = next_shard_.fetch_add(1, std::memory_order_relaxed)) < shards_.size()) {
-    if (heap_tops_[shard] < window_end) {
-      RunShardWindow(shard, window_end);
-      shards_[shard]->ran = true;
-    }
-  }
-}
-
-void ShardedEngine::WorkerLoop() {
-  uint64_t seen = 0;
-  for (;;) {
-    SimTime end;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_workers_.wait(lk, [&] { return shutdown_ || window_seq_ != seen; });
-      if (shutdown_) {
-        return;
-      }
-      seen = window_seq_;
-      end = published_end_;
-    }
-    RunShardTickets(end);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      ++workers_parked_;
-    }
-    cv_main_.notify_one();
-  }
-}
-
-void ShardedEngine::ExecuteWindowParallel(SimTime window_end) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    published_end_ = window_end;
-    workers_parked_ = 0;
-    next_shard_.store(0, std::memory_order_relaxed);
-    ++window_seq_;
-  }
-  cv_workers_.notify_all();
-  // The main thread is a full participant in the shard ticket race.
-  RunShardTickets(window_end);
-  // Wait until every worker has parked: only then is all shard state (heaps,
-  // outboxes, staged traces, ran flags) safely visible to the barrier, and
-  // only then may next_shard_ be rearmed for the following window.
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_main_.wait(lk, [&] { return workers_parked_ == workers_.size(); });
-  }
-  for (uint32_t s = 0; s < shards_.size(); ++s) {
-    if (shards_[s]->ran) {
-      shards_[s]->ran = false;
-      ran_.push_back(s);
-    }
-  }
+  current_shard_ = kNoShard;
 }
 
 void ShardedEngine::BarrierDrain() {
@@ -266,7 +173,7 @@ void ShardedEngine::BarrierDrain() {
 
   // 2. Cross-shard posts, in (source shard, post order) order: destination
   // event ids and FIFO tie-breaks are thereby a pure function of the
-  // per-shard schedules, never of thread timing.
+  // per-shard schedules.
   for (ShardId s : ran_) {
     std::vector<CrossPost>& outbox = shards_[s]->outbox;
     stats_.cross_posts += outbox.size();
@@ -283,8 +190,8 @@ uint64_t ShardedEngine::Run(SimTime until) {
 }
 
 uint64_t ShardedEngine::Run(SimTime until, const std::function<bool()>& stop_pred) {
-  AURAGEN_CHECK(tl_engine == nullptr) << "ShardedEngine::Run is not reentrant";
-  stop_.store(false, std::memory_order_relaxed);
+  AURAGEN_CHECK(current_shard_ == kNoShard) << "ShardedEngine::Run is not reentrant";
+  stop_ = false;
   limit_hit_ = false;
   bool pred_halt = false;
   const uint64_t start_dispatched = stats_.events;
@@ -292,7 +199,7 @@ uint64_t ShardedEngine::Run(SimTime until, const std::function<bool()>& stop_pre
       tracer_ != nullptr && tracer_->WantsKind(TraceEventKind::kEngineDispatch);
 
   for (;;) {
-    if (stop_.load(std::memory_order_relaxed)) {
+    if (stop_) {
       break;
     }
     if (dispatch_limit_ != 0 && stats_.events >= dispatch_limit_) {
@@ -332,16 +239,12 @@ uint64_t ShardedEngine::Run(SimTime until, const std::function<bool()>& stop_pre
     window_budget_ =
         dispatch_limit_ == 0 ? 0 : dispatch_limit_ - stats_.events;
     active_window_end_ = window_end;
-    if (threads_ > 1) {
-      ExecuteWindowParallel(window_end);
-    } else {
-      // A shard whose heap top lies at or past the window end would pop
-      // nothing; it neither runs nor reaches the barrier.
-      for (uint32_t s = 0; s < shards_.size(); ++s) {
-        if (heap_tops_[s] < window_end) {
-          RunShardWindow(s, window_end);
-          ran_.push_back(s);
-        }
+    // A shard whose heap top lies at or past the window end would pop
+    // nothing; it neither runs nor reaches the barrier.
+    for (uint32_t s = 0; s < shards_.size(); ++s) {
+      if (heap_tops_[s] < window_end) {
+        RunShardWindow(s, window_end);
+        ran_.push_back(s);
       }
     }
     BarrierDrain();
@@ -355,7 +258,7 @@ uint64_t ShardedEngine::Run(SimTime until, const std::function<bool()>& stop_pre
   // Advance to the horizon only when the run earned it (mirrors
   // Engine::Run's dispatch-limit/Stop semantics).
   if (until != kSimForever && now_ < until && !limit_hit_ && !pred_halt &&
-      !stop_.load(std::memory_order_relaxed)) {
+      !stop_) {
     now_ = until;
   }
   return stats_.events - start_dispatched;

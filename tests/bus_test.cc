@@ -219,7 +219,6 @@ TEST(Bus, ShardedModeDeliversAcrossShardsWithPropagationLatency) {
   // what licenses the cross-shard posts under the lookahead contract.
   ShardedEngineOptions seo;
   seo.num_shards = 5;
-  seo.threads = 1;
   seo.lookahead_us = 2;
   ShardedEngine engine(seo);
   BusConfig config;

@@ -157,7 +157,7 @@ TEST(FaultCampaign, ParallelSeedsMatchSequential) {
   opt.check_determinism = false;
   std::vector<ScenarioResult> seq;
   RunCampaign(1, 8, opt, [&](const ScenarioResult& r) { seq.push_back(r); });
-  opt.engine_threads = 3;
+  opt.seed_threads = 3;
   std::vector<ScenarioResult> par;
   RunCampaign(1, 8, opt, [&](const ScenarioResult& r) { par.push_back(r); });
   ASSERT_EQ(seq.size(), par.size());

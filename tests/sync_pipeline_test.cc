@@ -115,6 +115,16 @@ TEST(PlacementValidation, RejectsServerOffItsDiskPorts) {
   EXPECT_NE(err.find("§7.9"), std::string::npos) << err;
 }
 
+TEST(PlacementValidation, RejectsEngineThreadsOtherThanOne) {
+  // A machine runs on one thread; the field awaits removal.
+  MachineOptions options;
+  options.engine_threads = 2;
+  std::string err = options.Validate();
+  EXPECT_NE(err.find("engine_threads"), std::string::npos) << err;
+  options.engine_threads = 1;
+  EXPECT_EQ(options.Validate(), "");
+}
+
 TEST(PlacementValidation, NonFtSkipsBackupConstraints) {
   MachineOptions options;
   options.config.num_clusters = 1;

@@ -21,7 +21,7 @@ void Usage() {
                "                 [--workload W] [--clusters C] [--segments S]\n"
                "                 [--switch-latency-us L] [--sync-mode M]\n"
                "                 [--adaptive-sync] [--page-shards P]\n"
-               "                 [--engine-threads T] [--machine-threads T]\n"
+               "                 [--seed-threads T]\n"
                "                 [--cross-check] [--no-determinism] [--verbose]\n"
                "\n"
                "  --seeds N          run seeds [start, start+N) (default 200)\n"
@@ -43,15 +43,11 @@ void Usage() {
                "                     (default incremental)\n"
                "  --adaptive-sync    adapt the time-based sync trigger to dirty rate\n"
                "  --page-shards P    page-server shards (default 1)\n"
-               "  --engine-threads T seeds simulated concurrently (default 1);\n"
+               "  --seed-threads T   seeds simulated concurrently (default 1);\n"
                "                     results and digests are identical to T=1\n"
-               "  --machine-threads T shard-worker threads inside each machine\n"
-               "                     run (ShardPlan layout); digests identical\n"
-               "                     to T=1\n"
-               "  --cross-check      run the campaign fully sequentially (both\n"
-               "                     thread knobs forced to 1) AND at the\n"
-               "                     requested thread counts, and require every\n"
-               "                     seed's outcome + trace digest to match\n"
+               "  --cross-check      run the campaign one seed at a time AND\n"
+               "                     with --seed-threads workers, and require\n"
+               "                     every seed's outcome + trace digest to match\n"
                "  --no-determinism   skip the replay/trace-digest check (3x -> 2x runs)\n"
                "  --verbose          print every scenario, not just failures\n");
 }
@@ -132,10 +128,8 @@ int main(int argc, char** argv) {
       opt.sync_policy.adaptive = true;
     } else if (arg == "--page-shards") {
       opt.page_shards = static_cast<uint32_t>(std::strtoul(next(), nullptr, 0));
-    } else if (arg == "--engine-threads") {
-      opt.engine_threads = static_cast<uint32_t>(std::strtoul(next(), nullptr, 0));
-    } else if (arg == "--machine-threads") {
-      opt.machine_threads = static_cast<uint32_t>(std::strtoul(next(), nullptr, 0));
+    } else if (arg == "--seed-threads") {
+      opt.seed_threads = static_cast<uint32_t>(std::strtoul(next(), nullptr, 0));
     } else if (arg == "--cross-check") {
       cross_check = true;
     } else if (arg == "--no-determinism") {
@@ -197,14 +191,12 @@ int main(int argc, char** argv) {
   };
 
   if (cross_check) {
-    // Mode-equivalence oracle: the same seed range fully sequentially (one
-    // seed at a time, one shard worker per machine) and at the requested
-    // thread counts must produce the same per-seed outcomes and trace
-    // digests, bit for bit.
+    // Mode-equivalence oracle: the same seed range one seed at a time and
+    // on the seed-worker pool must produce the same per-seed outcomes and
+    // trace digests, bit for bit.
     std::vector<ScenarioResult> seq, par;
     CampaignOptions seq_opt = opt;
-    seq_opt.engine_threads = 1;
-    seq_opt.machine_threads = 1;
+    seq_opt.seed_threads = 1;
     auto seq_summary = auragen::RunCampaign(
         start, seeds, seq_opt, [&](const ScenarioResult& r) { seq.push_back(r); });
     auto par_summary = auragen::RunCampaign(
@@ -220,10 +212,9 @@ int main(int argc, char** argv) {
                     par[i].trace_digest.ToString().c_str());
       }
     }
-    std::printf("faultcamp: %llu scenarios x2 modes (seed-threads 1 vs %u, "
-                "machine-threads 1 vs %u), %llu failed, %llu cross-mode mismatches\n",
-                static_cast<unsigned long long>(par_summary.run), opt.engine_threads,
-                opt.machine_threads,
+    std::printf("faultcamp: %llu scenarios x2 modes (seed-threads 1 vs %u), "
+                "%llu failed, %llu cross-mode mismatches\n",
+                static_cast<unsigned long long>(par_summary.run), opt.seed_threads,
                 static_cast<unsigned long long>(par_summary.failed),
                 static_cast<unsigned long long>(mismatches));
     return (seq_summary.failed == 0 && par_summary.failed == 0 && mismatches == 0) ? 0 : 1;
